@@ -5,6 +5,7 @@
 #   make race        full suite under the race detector
 #   make fuzz-smoke  run every Fuzz* seed corpus as ordinary tests
 #   make fuzz        short live fuzzing session per target (FUZZTIME=10s)
+#   make cross       vet + build the non-amd64 fallbacks (arm64, 386)
 #   make bench       package micro-benchmarks
 #   make bench-json  regenerate the committed BENCH_pipeline.json report
 #   make bench-smoke fast CI-sized run of the bench-json pipeline
@@ -21,7 +22,7 @@ FUZZTIME ?= 10s
 TELEMETRY_ADDR ?= 127.0.0.1:9190
 SERVICE_ADDR ?= 127.0.0.1:9200
 
-.PHONY: check vet build test race fuzz-smoke fuzz bench bench-json bench-smoke telemetry-smoke service-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke clean
+.PHONY: check vet build test race fuzz-smoke fuzz cross bench bench-json bench-smoke telemetry-smoke service-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke clean
 
 check: vet build race fuzz-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke
 
@@ -47,6 +48,12 @@ fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/pnm
 	$(GO) test -fuzz FuzzHistogramMatch -fuzztime $(FUZZTIME) ./internal/hist
 	$(GO) test -fuzz FuzzGenerateOptions -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz FuzzTileErrorRow -fuzztime $(FUZZTIME) ./internal/metric
+
+# The Step-2 row kernel is assembly on amd64 and a Go loop elsewhere; keep
+# the portable fallback vetted and building.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/metric/ && GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) build ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -6,7 +6,9 @@
 // per build, no row arithmetic in the inner loop. The kernels run over the
 // padded blocks (tilestore.Store.TilePadded): the padding is zero on both
 // sides of every comparison, contributes |0−0| = 0 under either metric, and
-// keeps every SWAR iteration on whole 32-byte words. Each store builder is
+// keeps every kernel iteration on whole 32-byte chunks. Under L1 each matrix
+// row (or row panel) is one tileErrorL1Row call over the contiguous target
+// blocks; L2 stays one SWAR TileError per entry. Each store builder is
 // bit-identical to its crop-path oracle of the same Builder name, which
 // TestTileStoreBuildersEquivalent enforces over randomized scenes.
 package metric
@@ -47,7 +49,7 @@ func storeSetup(in, tgt *tilestore.Store, m Metric) (s int, err error) {
 }
 
 // BuildStoreSerial is BuildSerial over the store: one core, rows in order,
-// each entry one TileError over the padded blocks.
+// each row one storeRow over the padded blocks.
 func BuildStoreSerial(in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
 	s, err := storeSetup(in, tgt, m)
 	if err != nil {
@@ -55,11 +57,7 @@ func BuildStoreSerial(in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
 	}
 	out := NewMatrix(s)
 	for u := 0; u < s; u++ {
-		tu := in.TilePadded(u)
-		row := out.Row(u)
-		for v := 0; v < s; v++ {
-			row[v] = TileError(tu, tgt.TilePadded(v), m)
-		}
+		storeRow(in.TilePadded(u), tgt, m, out.Row(u), 0, s)
 	}
 	return out, nil
 }
@@ -104,20 +102,29 @@ func BuildStoreBlocked(in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
 				u1 = s
 			}
 			for u := u0; u < u1; u++ {
-				tu := in.TilePadded(u)
-				row := out.Row(u)
-				for v := v0; v < v1; v++ {
-					row[v] = TileError(tu, tgt.TilePadded(v), m)
-				}
+				storeRow(in.TilePadded(u), tgt, m, out.Row(u), v0, v1)
 			}
 		}
 	}
 	return out, nil
 }
 
-// storeRowsKernel returns the row body shared by the device-shaped store
-// builders: compute row u of the matrix (input tile u against every target)
-// from a staged copy of the input tile.
+// storeRow fills row[v0:v1] with the costs of one padded input block tu
+// against target tiles v0..v1−1: one row-kernel call over the contiguous
+// target blocks under L1, one SWAR TileError per entry under L2.
+func storeRow(tu []uint8, tgt *tilestore.Store, m Metric, row []Cost, v0, v1 int) {
+	if m == L1 {
+		tileErrorL1Row(tu, tgt.Pix[v0*tgt.Stride:v1*tgt.Stride], tgt.Stride, row[v0:v1])
+		return
+	}
+	for v := v0; v < v1; v++ {
+		row[v] = TileError(tu, tgt.TilePadded(v), m)
+	}
+}
+
+// storeDeviceKernel returns the §V kernel body shared by the device-shaped
+// store builders: block b stages input tile rowBase+b.Idx and computes that
+// row of the matrix (the input tile against every target).
 func storeDeviceKernel(in, tgt *tilestore.Store, m Metric, out *Matrix, rowBase int) func(b *cuda.Block) {
 	stride := in.Stride
 	return func(b *cuda.Block) {
@@ -127,10 +134,7 @@ func storeDeviceKernel(in, tgt *tilestore.Store, m Metric, out *Matrix, rowBase 
 		sh := b.Shared(stride)
 		src := in.TilePadded(u)
 		b.StrideLoop(stride, func(i int) { sh[i] = src[i] })
-		row := out.Row(u)
-		b.StrideLoop(out.S, func(v int) {
-			row[v] = TileError(sh, tgt.TilePadded(v), m)
-		})
+		storeRow(sh, tgt, m, out.Row(u), 0, out.S)
 	}
 }
 
@@ -185,11 +189,7 @@ func BuildStoreRowsParallel(dev *cuda.Device, in, tgt *tilestore.Store, m Metric
 // storeRowBody returns the per-row body of the rows-parallel store builders.
 func storeRowBody(in, tgt *tilestore.Store, m Metric, out *Matrix) func(u int) {
 	return func(u int) {
-		tu := in.TilePadded(u)
-		row := out.Row(u)
-		for v := 0; v < out.S; v++ {
-			row[v] = TileError(tu, tgt.TilePadded(v), m)
-		}
+		storeRow(in.TilePadded(u), tgt, m, out.Row(u), 0, out.S)
 	}
 }
 

@@ -225,3 +225,31 @@ func TestBuildStoreRejections(t *testing.T) {
 		t.Fatal("sharded build with no devices accepted")
 	}
 }
+
+// benchStoreDevice times the store-backed §V kernel on 512² lena→peppers at
+// tile side m. SetBytes counts both padded blocks of every pair — the bytes
+// the kernel streams, which is what perfbench's metric.gbps reports
+// whenever M² is a multiple of the store's PadAlign.
+func benchStoreDevice(b *testing.B, m int) {
+	in, err := tilestore.FromImage(synth.MustGenerate(synth.Lena, 512), m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tgt, err := tilestore.FromImage(synth.MustGenerate(synth.Peppers, 512), m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := cuda.New(0)
+	s := int64(in.S())
+	b.SetBytes(s * s * 2 * int64(in.Stride))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := metric.BuildStoreDevice(dev, in, tgt, metric.L1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkBuildStoreDevice512S1024(b *testing.B) { benchStoreDevice(b, 16) }
+
+func BenchmarkBuildStoreDevice512S4096(b *testing.B) { benchStoreDevice(b, 8) }

@@ -2,10 +2,14 @@
 //
 // Eq. (1) is a sum of per-byte absolute differences — the classic SAD kernel
 // of motion estimation, and the dominant, trivially vectorizable cost of
-// Step 2 (the S×S matrix performs S²·M² of them). The loops below process
-// eight pixels per uint64 word on plain integer arithmetic, four words per
-// iteration, using the packed-subtract/borrow-mask construction (Hacker's
-// Delight §2-18): with H marking each byte's top bit,
+// Step 2 (the S×S matrix performs S²·M² of them). The store-backed L1
+// builders run it as a row kernel (row.go; SSE2 PSADBW on amd64), so the
+// SWAR kernels here are the single-pair path — TileError, the crop-path
+// builders and every L2 build — and, through tileErrorL1RowGo, the row
+// kernel on architectures without an assembly version. The loops below
+// process eight pixels per uint64 word on plain integer arithmetic, four
+// words per iteration, using the packed-subtract/borrow-mask construction
+// (Hacker's Delight §2-18): with H marking each byte's top bit,
 //
 //	d  = ((x|H) − (y&^H)) ^ ((x^y^H)&H)   per-byte x−y (mod 256)
 //	bo = (^x & y) | ((^x | y) & d)        top bit set where the byte borrowed

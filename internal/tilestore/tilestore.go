@@ -9,8 +9,8 @@
 //
 //   - Pix holds one contiguous pixel block per tile, tile i at
 //     [i·Stride, (i+1)·Stride). Blocks are padded with zero bytes up to
-//     Stride, a multiple of PadAlign, so the SWAR uint64 kernels stream
-//     whole words with no tail handling and rows of consecutive tiles stay
+//     Stride, a multiple of PadAlign, so the Step-2 kernels stream whole
+//     32-byte chunks with no tail handling and rows of consecutive tiles stay
 //     cache-line aligned. Zero padding is metric-neutral: |0−0| contributes
 //     nothing under L1 or L2, so kernels may run over the padded block and
 //     stay bit-identical to the unpadded crop path.
@@ -38,7 +38,8 @@ import (
 )
 
 // PadAlign is the byte alignment of each tile's pixel block. 32 matches the
-// widest stride of the SWAR kernels (four uint64 words per iteration), so a
+// widest stride of the Step-2 kernels — four uint64 words per SWAR
+// iteration, two 16-byte PSADBW lanes per row-kernel iteration — so a
 // padded block is always covered by whole unrolled iterations.
 const PadAlign = 32
 
