@@ -7,6 +7,7 @@
 #   make fuzz        short live fuzzing session per target (FUZZTIME=10s)
 #   make cross       vet + build the non-amd64 fallbacks (arm64, 386)
 #   make bench       package micro-benchmarks
+#   make bench-once  run the Step-3 and edge-coloring benchmarks once each
 #   make bench-json  regenerate the committed BENCH_pipeline.json report
 #   make bench-smoke fast CI-sized run of the bench-json pipeline
 #   make telemetry-smoke  end-to-end probe of the -serve debug endpoint
@@ -22,7 +23,7 @@ FUZZTIME ?= 10s
 TELEMETRY_ADDR ?= 127.0.0.1:9190
 SERVICE_ADDR ?= 127.0.0.1:9200
 
-.PHONY: check vet build test race fuzz-smoke fuzz cross bench bench-json bench-smoke telemetry-smoke service-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke clean
+.PHONY: check vet build test race fuzz-smoke fuzz cross bench bench-once bench-json bench-smoke telemetry-smoke service-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke clean
 
 check: vet build race fuzz-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke
 
@@ -57,6 +58,11 @@ cross:
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# One iteration of every local-search and edge-coloring benchmark (the
+# S=64² exact-s64 shapes included), so they keep compiling and running.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/localsearch/ ./internal/edgecolor/
 
 # Regenerate the committed machine-readable benchmark report (pinned
 # workload; see internal/benchjson for the schema).

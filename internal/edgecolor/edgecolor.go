@@ -14,7 +14,6 @@ package edgecolor
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrImproper reports a coloring that fails verification.
@@ -35,7 +34,8 @@ type Coloring struct {
 // Complete returns the circle-method edge coloring of K_n with vertices
 // 0..n−1: n−1 classes for even n, n classes for odd n (matching the paper's
 // Theorem 1). Classes are emitted in the paper's order, with the pairs of a
-// class sorted by first vertex. n = 0 or 1 yields zero classes.
+// class sorted by first vertex. n = 0 or 1 yields zero classes. All classes
+// share one backing array of n(n−1)/2 pairs.
 func Complete(n int) *Coloring {
 	if n < 0 {
 		panic(fmt.Sprintf("edgecolor: Complete(%d)", n))
@@ -44,46 +44,43 @@ func Complete(n int) *Coloring {
 	if n < 2 {
 		return c
 	}
-	if n == 2 {
-		c.Classes = [][]Pair{{{U: 0, V: 1}}}
-		return c
-	}
-	if n%2 == 0 {
-		// Even n: vertices 0..m−1 on a circle (m = n−1, odd) plus the fixed
-		// vertex n−1. Paper class i (1-based, 1..m) holds 1-based pairs with
-		// u+v ≡ 2i+1 (mod m); in 0-based labels the sum shifts by 2.
-		m := n - 1
-		for i := 1; i <= m; i++ {
-			sigma := ((2*i-1)%m + m) % m // 0-based residue of the class
-			c.Classes = append(c.Classes, classForSum(n, m, sigma, true))
-		}
-		return c
-	}
-	// Odd n: no fixed vertex; n classes, the vertex with 2w ≡ σ (mod n)
+	// Even n: vertices 0..m−1 on a circle (m = n−1, odd) plus the fixed
+	// vertex n−1. Paper class i (1-based, 1..m) holds 1-based pairs with
+	// u+v ≡ 2i+1 (mod m); in 0-based labels the sum shifts by 2. Odd n has
+	// no fixed vertex and n classes (m = n); the vertex with 2w ≡ σ (mod n)
 	// sits the round out.
-	for i := 1; i <= n; i++ {
-		sigma := ((2*i-1)%n + n) % n
-		c.Classes = append(c.Classes, classForSum(n, n, sigma, false))
+	m, hasFixed := n-1, true
+	if n%2 == 1 {
+		m, hasFixed = n, false
+	}
+	backing := make([]Pair, 0, n*(n-1)/2)
+	c.Classes = make([][]Pair, m)
+	for i := 1; i <= m; i++ {
+		lo := len(backing)
+		backing = appendClass(backing, n, m, (2*i-1)%m, hasFixed)
+		c.Classes[i-1] = backing[lo:len(backing):len(backing)]
 	}
 	return c
 }
 
-// classForSum builds one color class: all pairs {u, v} of circle vertices
-// 0..m−1 with u+v ≡ sigma (mod m); the self-paired vertex (2w ≡ sigma) is
-// matched with the fixed vertex n−1 when one exists (even n), and rests
-// otherwise (odd n).
-func classForSum(n, m, sigma int, hasFixed bool) []Pair {
-	var out []Pair
+// appendClass appends one color class to out: all pairs {u, v} of circle
+// vertices 0..m−1 with u+v ≡ sigma (mod m); the self-paired vertex
+// (2w ≡ sigma) is matched with the fixed vertex n−1 when one exists (even
+// n), and rests otherwise (odd n). Pairs come out in ascending u, because
+// the partner v = sigma−u (mod m) is stepped down alongside u.
+func appendClass(out []Pair, n, m, sigma int, hasFixed bool) []Pair {
+	v := sigma
 	for u := 0; u < m; u++ {
-		v := ((sigma-u)%m + m) % m
 		switch {
 		case u < v:
 			out = append(out, Pair{U: u, V: v})
 		case u == v && hasFixed:
 			out = append(out, Pair{U: u, V: n - 1})
 		}
+		if v--; v < 0 {
+			v = m - 1
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].U < out[b].U })
 	return out
 }
 

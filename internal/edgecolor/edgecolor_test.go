@@ -1,6 +1,7 @@
 package edgecolor
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -41,6 +42,59 @@ func TestK16MatchesPaperListing(t *testing.T) {
 			if p.U+1 != want[pi][0] || p.V+1 != want[pi][1] {
 				t.Errorf("class P%d pair %d: got (%d, %d), want (%d, %d)",
 					ci+1, pi, p.U+1, p.V+1, want[pi][0], want[pi][1])
+			}
+		}
+	}
+}
+
+// naiveComplete is the circle-method construction written directly from
+// its definition: class i holds every pair with u+v ≡ 2i−1 (mod m), each
+// partner found with two modulo operations, sorted by first vertex.
+func naiveComplete(n int) [][]Pair {
+	if n < 2 {
+		return nil
+	}
+	m, hasFixed := n-1, true
+	if n%2 == 1 {
+		m, hasFixed = n, false
+	}
+	var classes [][]Pair
+	for i := 1; i <= m; i++ {
+		sigma := ((2*i-1)%m + m) % m
+		var class []Pair
+		for u := 0; u < m; u++ {
+			v := ((sigma-u)%m + m) % m
+			switch {
+			case u < v:
+				class = append(class, Pair{U: u, V: v})
+			case u == v && hasFixed:
+				class = append(class, Pair{U: u, V: n - 1})
+			}
+		}
+		sort.Slice(class, func(a, b int) bool { return class[a].U < class[b].U })
+		classes = append(classes, class)
+	}
+	return classes
+}
+
+func TestCompleteMatchesNaiveReference(t *testing.T) {
+	sizes := []int{1024}
+	for n := 0; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		got, want := Complete(n).Classes, naiveComplete(n)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d classes, want %d", n, len(got), len(want))
+		}
+		for ci := range want {
+			if len(got[ci]) != len(want[ci]) {
+				t.Fatalf("n=%d class %d: %d pairs, want %d", n, ci, len(got[ci]), len(want[ci]))
+			}
+			for pi := range want[ci] {
+				if got[ci][pi] != want[ci][pi] {
+					t.Fatalf("n=%d class %d pair %d: got %+v, want %+v", n, ci, pi, got[ci][pi], want[ci][pi])
+				}
 			}
 		}
 	}

@@ -77,7 +77,7 @@ func AnnealContext(ctx context.Context, m *metric.Matrix, start perm.Perm, opts 
 	if alpha == 0 {
 		alpha = 0.97
 	}
-	w := m.W
+	sw := newSweep(m, cur, false)
 	curErr := m.Total(cur)
 	best := cur.Clone()
 	bestErr := curErr
@@ -102,15 +102,13 @@ func AnnealContext(ctx context.Context, m *metric.Matrix, start perm.Perm, opts 
 		if y >= x {
 			y++
 		}
-		px, py := cur[x], cur[y]
-		delta := int64(w[py*s+x]) + int64(w[px*s+y]) -
-			int64(w[px*s+x]) - int64(w[py*s+y])
+		delta, cx, cy := sw.delta(x, y)
 		accept := delta <= 0
 		if !accept && temp > 0 {
 			accept = rng.float64() < math.Exp(-float64(delta)/temp)
 		}
 		if accept {
-			cur[x], cur[y] = py, px
+			sw.apply(x, y, cx, cy)
 			curErr += delta
 			st.Swaps++
 			if curErr < bestErr {

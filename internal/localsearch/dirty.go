@@ -91,7 +91,7 @@ func SerialDirtyContext(ctx context.Context, m *metric.Matrix, start perm.Perm, 
 	}
 	var st Stats
 	s := m.S
-	w := m.W
+	sw := newSweep(m, p, true)
 	d := newDirtyState(s)
 	sample := opts.Progress != nil
 	var curCost int64
@@ -111,7 +111,7 @@ func SerialDirtyContext(ctx context.Context, m *metric.Matrix, start perm.Perm, 
 				}
 			}
 		}
-		partial, err := warmCandidates(ctx, m, p, d, opts, &st, &curCost)
+		partial, err := warmCandidates(ctx, m, sw, d, opts, &st, &curCost)
 		if err != nil {
 			return nil, st, err
 		}
@@ -138,7 +138,6 @@ func SerialDirtyContext(ctx context.Context, m *metric.Matrix, start perm.Perm, 
 				trace.Count(opts.Trace, trace.CounterImprovingSwaps, st.Swaps-swapsBefore)
 				return anytimeStop(m, p, &st)
 			}
-			px := p[x]
 			mx := d.lastMoved[x]
 			scored := d.lastScored[x*s : (x+1)*s]
 			for y := x + 1; y < s; y++ {
@@ -146,19 +145,13 @@ func SerialDirtyContext(ctx context.Context, m *metric.Matrix, start perm.Perm, 
 					continue
 				}
 				st.Attempts++
-				py := p[y]
-				keep := int64(w[px*s+x]) + int64(w[py*s+y])
-				swap := int64(w[py*s+x]) + int64(w[px*s+y])
-				if keep > swap {
-					p[x], p[y] = py, px
-					px = py
+				if delta, cx, cy := sw.delta(x, y); delta < 0 {
+					sw.apply(x, y, cx, cy)
 					swapped = true
 					st.Swaps++
 					d.moved(x, y)
 					mx = d.lastMoved[x]
-					if sample {
-						curCost += swap - keep
-					}
+					curCost += delta
 				} else {
 					scored[y] = d.clock
 				}
@@ -220,9 +213,8 @@ func topKColumn(m *metric.Matrix, x, k int) []int32 {
 // dirty exhaustive sweeps skip everything the warm phase left untouched.
 // In anytime mode cancellation returns partial=true (the caller finalises
 // the snapshot) instead of an error.
-func warmCandidates(ctx context.Context, m *metric.Matrix, p perm.Perm, d *dirtyState, opts Options, st *Stats, curCost *int64) (partial bool, err error) {
+func warmCandidates(ctx context.Context, m *metric.Matrix, sw *sweep, d *dirtyState, opts Options, st *Stats, curCost *int64) (partial bool, err error) {
 	s := m.S
-	w := m.W
 	cands := opts.CandidateLists
 	if cands == nil {
 		k := opts.Candidates
@@ -234,10 +226,9 @@ func warmCandidates(ctx context.Context, m *metric.Matrix, p perm.Perm, d *dirty
 	// pos is the inverse assignment: pos[u] = position currently holding
 	// input tile u, maintained across swaps.
 	pos := make([]int32, s)
-	for v, u := range p {
+	for v, u := range sw.p {
 		pos[u] = int32(v)
 	}
-	sample := opts.Progress != nil
 	for {
 		if err := ctxErr(ctx); err != nil {
 			if opts.Anytime {
@@ -255,22 +246,14 @@ func warmCandidates(ctx context.Context, m *metric.Matrix, p perm.Perm, d *dirty
 					continue
 				}
 				st.Attempts++
-				px, py := p[x], p[y]
-				keep := int64(w[px*s+x]) + int64(w[py*s+y])
-				swap := int64(w[py*s+x]) + int64(w[px*s+y])
-				if keep > swap {
-					p[x], p[y] = py, px
-					pos[py], pos[px] = int32(x), int32(y)
+				if delta, cx, cy := sw.delta(x, y); delta < 0 {
+					sw.apply(x, y, cx, cy)
+					// Tile u moved to x; x's old tile now sits at y.
+					pos[u], pos[sw.p[y]] = int32(x), int32(y)
 					swapped = true
 					st.Swaps++
-					lo, hi := x, y
-					if lo > hi {
-						lo, hi = hi, lo
-					}
-					d.moved(lo, hi)
-					if sample {
-						*curCost += swap - keep
-					}
+					d.moved(min(x, y), max(x, y))
+					*curCost += delta
 				}
 			}
 		}
@@ -278,7 +261,7 @@ func warmCandidates(ctx context.Context, m *metric.Matrix, p perm.Perm, d *dirty
 		trace.Count(opts.Trace, trace.CounterSweepRounds, 1)
 		trace.Count(opts.Trace, trace.CounterSwapAttempts, st.Attempts-attemptsBefore)
 		trace.Count(opts.Trace, trace.CounterImprovingSwaps, st.Swaps-swapsBefore)
-		if sample {
+		if opts.Progress != nil {
 			opts.Progress(st.Passes, *curCost, st.Swaps)
 		}
 		if !swapped || (opts.MaxPasses > 0 && st.Passes >= opts.MaxPasses) {

@@ -10,6 +10,21 @@
 // Every applied swap strictly decreases the integer total error of Eq. (2),
 // so both algorithms terminate; tests assert the monotone decrease and the
 // paper's observed pass counts (k ≤ 9, 8, 16 for S = 16², 32², 64²).
+//
+// Every search runs the test on one sweep state (sweep.go). It keeps the
+// diagonal cur[v] = E(I_{p[v]}, T_v), updated on each applied swap, so the
+// keep side reads no matrix entry. The searches that test pairs in row order
+// (Serial, SerialDirty, SerialBestImprovement) also build a per-run
+// column-major copy of the matrix, so the swap side of pair (x, y) reads
+// E(I_{p[y]}, T_x) from row x of the copy, which stays in cache for the
+// whole row, and E(I_{p[x]}, T_y) from a sequential walk of matrix row p[x].
+// The row-major matrix would put the first read in column x, one cache line
+// per test. The copy's rows are padded to S+16 costs: at a power-of-two S
+// an unpadded stride maps a column walk, such as the transpose that builds
+// the copy, onto a single cache set. The copy costs S·(S+16)·4 bytes per
+// run (4.3 MB at S = 32²) and is dropped when the run returns. Algorithm 2
+// and annealing visit pairs in no row order and read the row-major matrix:
+// two entries per test instead of four.
 package localsearch
 
 import (
@@ -146,7 +161,7 @@ func SerialContext(ctx context.Context, m *metric.Matrix, start perm.Perm, opts 
 	}
 	var st Stats
 	s := m.S
-	w := m.W
+	sw := newSweep(m, p, true)
 	// The convergence curve is maintained incrementally: one O(S) evaluation
 	// up front, then each applied swap's delta, so sampling never re-walks
 	// the matrix.
@@ -162,7 +177,6 @@ func SerialContext(ctx context.Context, m *metric.Matrix, start perm.Perm, opts 
 			}
 			return nil, st, fmt.Errorf("localsearch: serial search cancelled after %d sweeps: %w", st.Passes, err)
 		}
-		swapped := false
 		swapsBefore := st.Swaps
 		for x := 0; x < s; x++ {
 			if opts.Anytime && ctxErr(ctx) != nil {
@@ -173,24 +187,11 @@ func SerialContext(ctx context.Context, m *metric.Matrix, start perm.Perm, opts 
 				trace.Count(opts.Trace, trace.CounterImprovingSwaps, st.Swaps-swapsBefore)
 				return anytimeStop(m, p, &st)
 			}
-			// Hoist the x-dependent row pointers; p[x] changes when a swap
-			// lands, so reload inside the y loop only after swaps.
-			px := p[x]
-			for y := x + 1; y < s; y++ {
-				py := p[y]
-				keep := int64(w[px*s+x]) + int64(w[py*s+y])
-				swap := int64(w[py*s+x]) + int64(w[px*s+y])
-				if keep > swap {
-					p[x], p[y] = py, px
-					px = py
-					swapped = true
-					st.Swaps++
-					if sample {
-						curCost += swap - keep
-					}
-				}
-			}
+			n, d := sw.row(x)
+			st.Swaps += n
+			curCost += d
 		}
+		swapped := st.Swaps > swapsBefore
 		st.Passes++
 		st.Attempts += int64(s) * int64(s-1) / 2
 		trace.Count(opts.Trace, trace.CounterSweepRounds, 1)
@@ -218,18 +219,14 @@ func SerialBestImprovement(m *metric.Matrix, start perm.Perm, opts Options) (per
 	}
 	var st Stats
 	s := m.S
-	w := m.W
+	sw := newSweep(m, p, true)
 	for {
 		bestDelta := int64(0)
 		bestX, bestY := -1, -1
 		for x := 0; x < s; x++ {
-			px := p[x]
 			for y := x + 1; y < s; y++ {
-				py := p[y]
-				delta := int64(w[py*s+x]) + int64(w[px*s+y]) -
-					int64(w[px*s+x]) - int64(w[py*s+y])
-				if delta < bestDelta {
-					bestDelta = delta
+				if d, _, _ := sw.delta(x, y); d < bestDelta {
+					bestDelta = d
 					bestX, bestY = x, y
 				}
 			}
@@ -239,7 +236,8 @@ func SerialBestImprovement(m *metric.Matrix, start perm.Perm, opts Options) (per
 		if bestX < 0 {
 			break
 		}
-		p[bestX], p[bestY] = p[bestY], p[bestX]
+		_, cx, cy := sw.delta(bestX, bestY)
+		sw.apply(bestX, bestY, cx, cy)
 		st.Swaps++
 		if opts.MaxPasses > 0 && st.Passes >= opts.MaxPasses {
 			break
@@ -249,8 +247,9 @@ func SerialBestImprovement(m *metric.Matrix, start perm.Perm, opts Options) (per
 }
 
 // pairsPerBlock is the number of color-class pairs each CUDA block handles
-// in the parallel sweep. The per-pair work is four matrix reads, so blocks
-// batch pairs to amortise scheduling.
+// in the parallel sweep. The per-pair work is two matrix reads (the keep
+// side comes from the sweep's diagonal), so blocks batch pairs to amortise
+// scheduling.
 const pairsPerBlock = 256
 
 // Parallel runs Algorithm 2 on the device: each sweep walks the color
@@ -320,7 +319,10 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 	}
 	var st Stats
 	s := m.S
-	w := m.W
+	// No column-major copy: a color class visits positions in no row order.
+	// Each pair's test writes only cur[x] and cur[y], and the pairs of a
+	// class are vertex-disjoint, so the kernel's threads never share a slot.
+	sw := newSweep(m, p, false)
 	var swapCount atomic.Int64
 	// Convergence sampling mirrors the serial search: one O(S) evaluation up
 	// front, then per-block swap deltas folded into an atomic accumulator
@@ -395,14 +397,10 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 				localDelta := int64(0)
 				b.StrideLoop(hi-lo, func(i int) {
 					pr := pairs[lo+i]
-					x, y := pr.U, pr.V
-					px, py := p[x], p[y]
-					keep := int64(w[px*s+x]) + int64(w[py*s+y])
-					swap := int64(w[py*s+x]) + int64(w[px*s+y])
-					if keep > swap {
-						p[x], p[y] = py, px
+					if d, cx, cy := sw.delta(pr.U, pr.V); d < 0 {
+						sw.apply(pr.U, pr.V, cx, cy)
 						local++
-						localDelta += swap - keep
+						localDelta += d
 					}
 				})
 				if local > 0 {
@@ -425,14 +423,10 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 				local := int64(0)
 				localDelta := int64(0)
 				for _, pr := range pairs {
-					x, y := pr.U, pr.V
-					px, py := p[x], p[y]
-					keep := int64(w[px*s+x]) + int64(w[py*s+y])
-					swap := int64(w[py*s+x]) + int64(w[px*s+y])
-					if keep > swap {
-						p[x], p[y] = py, px
+					if d, cx, cy := sw.delta(pr.U, pr.V); d < 0 {
+						sw.apply(pr.U, pr.V, cx, cy)
 						local++
-						localDelta += swap - keep
+						localDelta += d
 					}
 				}
 				if local > 0 {

@@ -27,11 +27,18 @@ func randCosts(s int, seed int64) *metric.Matrix {
 // sceneCosts builds the real Lena→Sailboat matrix at the given size.
 func sceneCosts(t testing.TB, n, tiles int) *metric.Matrix {
 	t.Helper()
-	in, err := tile.NewGridByCount(synth.MustGenerate(synth.Lena, n), tiles)
+	return scenePairCosts(t, synth.Lena, synth.Sailboat, n, tiles)
+}
+
+// scenePairCosts builds the input→target matrix of two scenes at n² pixels
+// with tiles tiles per side.
+func scenePairCosts(t testing.TB, input, target synth.Scene, n, tiles int) *metric.Matrix {
+	t.Helper()
+	in, err := tile.NewGridByCount(synth.MustGenerate(input, n), tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, err := tile.NewGridByCount(synth.MustGenerate(synth.Sailboat, n), tiles)
+	tg, err := tile.NewGridByCount(synth.MustGenerate(target, n), tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,6 +363,31 @@ func BenchmarkSerialS1024(b *testing.B) {
 
 func BenchmarkParallelS1024(b *testing.B) {
 	m := sceneCosts(b, 512, 32)
+	dev := cuda.New(0)
+	coloring := edgecolor.Complete(m.S)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Parallel(dev, m, perm.Identity(m.S), coloring, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The S=64² benchmarks run the exact-s64 workload's shape: Lena→Peppers at
+// 512², 64 tiles per side.
+
+func BenchmarkSerialS4096(b *testing.B) {
+	m := scenePairCosts(b, synth.Lena, synth.Peppers, 512, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Serial(m, perm.Identity(m.S), Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkParallelS4096(b *testing.B) {
+	m := scenePairCosts(b, synth.Lena, synth.Peppers, 512, 64)
 	dev := cuda.New(0)
 	coloring := edgecolor.Complete(m.S)
 	b.ResetTimer()
