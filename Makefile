@@ -1,13 +1,14 @@
 # Developer entry points for the photomosaic reproduction.
 #
-#   make check       vet + build + race-enabled tests + fuzz seed corpus
+#   make check       gofmt check + vet + build + race-enabled tests + fuzz seed corpus
+#   make fmt-check   fail if any tracked Go file is not gofmt-clean
 #   make test        plain test suite (what CI tier 1 runs)
 #   make race        full suite under the race detector
 #   make fuzz-smoke  run every Fuzz* seed corpus as ordinary tests
 #   make fuzz        short live fuzzing session per target (FUZZTIME=10s)
 #   make cross       vet + build the non-amd64 fallbacks (arm64, 386)
 #   make bench       package micro-benchmarks
-#   make bench-once  run the Step-3 and edge-coloring benchmarks once each
+#   make bench-once  run the Step-3, edge-coloring and response-encode benchmarks once each
 #   make bench-json  regenerate the committed BENCH_pipeline.json report
 #   make bench-smoke fast CI-sized run of the bench-json pipeline
 #   make telemetry-smoke  end-to-end probe of the -serve debug endpoint
@@ -23,9 +24,15 @@ FUZZTIME ?= 10s
 TELEMETRY_ADDR ?= 127.0.0.1:9190
 SERVICE_ADDR ?= 127.0.0.1:9200
 
-.PHONY: check vet build test race fuzz-smoke fuzz cross bench bench-once bench-json bench-smoke telemetry-smoke service-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke clean
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz cross bench bench-once bench-json bench-smoke telemetry-smoke service-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke clean
 
-check: vet build race fuzz-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke
+check: fmt-check vet build race fuzz-smoke chaos-smoke tilestore-smoke solver-smoke cluster-smoke overload-smoke
+
+# Only tracked files: local build trees (.bench_build/gopath) hold
+# third-party sources that are not ours to format.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -59,10 +66,11 @@ cross:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# One iteration of every local-search and edge-coloring benchmark (the
-# S=64² exact-s64 shapes included), so they keep compiling and running.
+# One iteration of every local-search, edge-coloring and response-encode
+# benchmark (the S=64² exact-s64 shapes included), so they keep compiling
+# and running.
 bench-once:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/localsearch/ ./internal/edgecolor/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/localsearch/ ./internal/edgecolor/ ./internal/service/
 
 # Regenerate the committed machine-readable benchmark report (pinned
 # workload; see internal/benchjson for the schema).

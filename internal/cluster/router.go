@@ -159,9 +159,9 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("cluster: no backends configured")
 	}
 	rt := &Router{
-		cfg:   cfg,
-		reg:   cfg.Registry,
-		ring:  NewRing(cfg.Replicas),
+		cfg:     cfg,
+		reg:     cfg.Registry,
+		ring:    NewRing(cfg.Replicas),
 		loads:   make(map[string]int),
 		down:    make(map[string]bool),
 		jobs:    make(map[string]string),

@@ -14,17 +14,17 @@ import (
 // either be rejected with ErrOptions or produce a valid permutation — never
 // panic, and never return a Result alongside an error.
 func FuzzGenerateOptions(f *testing.F) {
-	f.Add(32, 32, 1024, 32, 32, 1024, 4, 0, 0, uint8(1), uint8(0))  // valid run
-	f.Add(32, 32, 1024, 32, 32, 1024, 0, 8, 2, uint8(1), uint8(1))  // tile size + proxy
-	f.Add(0, 0, 0, 32, 32, 1024, 4, 0, 0, uint8(0), uint8(0))       // empty input
-	f.Add(-16, 16, 256, 16, 16, 256, 4, 0, 0, uint8(2), uint8(0))   // negative width
-	f.Add(16, 24, 384, 16, 24, 384, 4, 0, 0, uint8(3), uint8(1))    // non-square
-	f.Add(16, 16, 255, 16, 16, 256, 4, 0, 0, uint8(4), uint8(0))    // short buffer
-	f.Add(16, 16, 256, 16, 16, 256, -3, 0, 0, uint8(1), uint8(0))   // negative tiles
-	f.Add(16, 16, 256, 16, 16, 256, 5, 0, 0, uint8(1), uint8(0))    // indivisible tiles
-	f.Add(16, 16, 256, 16, 16, 256, 4, 4, 0, uint8(1), uint8(0))    // both tile params
-	f.Add(16, 16, 256, 16, 16, 256, 4, 0, -1, uint8(1), uint8(99))  // bad proxy + metric
-	f.Add(16, 16, 256, 8, 8, 64, 4, 0, 0, uint8(5), uint8(0))       // size mismatch
+	f.Add(32, 32, 1024, 32, 32, 1024, 4, 0, 0, uint8(1), uint8(0)) // valid run
+	f.Add(32, 32, 1024, 32, 32, 1024, 0, 8, 2, uint8(1), uint8(1)) // tile size + proxy
+	f.Add(0, 0, 0, 32, 32, 1024, 4, 0, 0, uint8(0), uint8(0))      // empty input
+	f.Add(-16, 16, 256, 16, 16, 256, 4, 0, 0, uint8(2), uint8(0))  // negative width
+	f.Add(16, 24, 384, 16, 24, 384, 4, 0, 0, uint8(3), uint8(1))   // non-square
+	f.Add(16, 16, 255, 16, 16, 256, 4, 0, 0, uint8(4), uint8(0))   // short buffer
+	f.Add(16, 16, 256, 16, 16, 256, -3, 0, 0, uint8(1), uint8(0))  // negative tiles
+	f.Add(16, 16, 256, 16, 16, 256, 5, 0, 0, uint8(1), uint8(0))   // indivisible tiles
+	f.Add(16, 16, 256, 16, 16, 256, 4, 4, 0, uint8(1), uint8(0))   // both tile params
+	f.Add(16, 16, 256, 16, 16, 256, 4, 0, -1, uint8(1), uint8(99)) // bad proxy + metric
+	f.Add(16, 16, 256, 8, 8, 64, 4, 0, 0, uint8(5), uint8(0))      // size mismatch
 
 	f.Fuzz(func(t *testing.T, iw, ih, ilen, tw, th, tlen, tiles, tileSize, proxy int, algo, met uint8) {
 		// Cap buffers and dimensions: the target is crash-resistance of the

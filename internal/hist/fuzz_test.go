@@ -22,14 +22,14 @@ func buildGray(w, h, pixLen int) *imgutil.Gray {
 // either be rejected with an error or produce a well-formed image whose
 // geometry equals the input's. It must never panic or index out of range.
 func FuzzHistogramMatch(f *testing.F) {
-	f.Add(4, 4, 16, 4, 4, 16, uint8(7))    // consistent pair
-	f.Add(0, 0, 0, 4, 4, 16, uint8(0))     // zero-sized input
-	f.Add(-3, 5, 15, 4, 4, 16, uint8(1))   // negative width
-	f.Add(4, 4, 15, 4, 4, 16, uint8(2))    // short buffer
-	f.Add(4, 4, 17, 4, 4, 16, uint8(3))    // long buffer
+	f.Add(4, 4, 16, 4, 4, 16, uint8(7))        // consistent pair
+	f.Add(0, 0, 0, 4, 4, 16, uint8(0))         // zero-sized input
+	f.Add(-3, 5, 15, 4, 4, 16, uint8(1))       // negative width
+	f.Add(4, 4, 15, 4, 4, 16, uint8(2))        // short buffer
+	f.Add(4, 4, 17, 4, 4, 16, uint8(3))        // long buffer
 	f.Add(4, 4, 16, 1<<20, 1<<20, 0, uint8(4)) // absurd reference dims
-	f.Add(3, 5, 15, 5, 3, 15, uint8(5))    // non-square, still consistent
-	f.Add(1, 1, 1, 1, 1, 1, uint8(255))    // minimal constant images
+	f.Add(3, 5, 15, 5, 3, 15, uint8(5))        // non-square, still consistent
+	f.Add(1, 1, 1, 1, 1, 1, uint8(255))        // minimal constant images
 
 	f.Fuzz(func(t *testing.T, iw, ih, ilen, rw, rh, rlen int, fill uint8) {
 		// Cap buffer sizes so hostile lengths don't just exhaust memory.

@@ -80,18 +80,16 @@ func (s *Service) claimBatch(key string) []*Job {
 	return claimed
 }
 
-// finishWave runs the micro-batch: after the leader settled, every queued job
-// sharing its prepared work is claimed and settled on the same still-held
-// lease. Followers skip their own device wait and cache lookup entirely —
-// the amortization this exists for — and each runs FinishContext on the
-// shared immutable Prepared, so outputs are bit-identical to unbatched runs.
-// The leader is settled before the wave starts, so batching never inflates
-// the latency of the job that paid for the prepare.
-func (s *Service) finishWave(leader *Job, prep *core.Prepared, l *lease) {
-	followers := s.claimBatch(leader.contentHash)
-	if len(followers) == 0 {
-		return
-	}
+// finishWave runs the micro-batch. The followers were claimed right after
+// the leader's Finish, before its lease could be released, and the leader
+// has since been encoded and settled. Each follower is settled on that
+// still-held lease; run releases it once the wave is done. Followers skip
+// their own device wait and cache lookup entirely — the amortization this
+// exists for — and each runs FinishContext on the shared immutable Prepared,
+// so outputs are bit-identical to unbatched runs. The leader is settled
+// before the wave starts, so batching never inflates the latency of the job
+// that paid for the prepare.
+func (s *Service) finishWave(prep *core.Prepared, l *lease, followers []*Job) {
 	s.batchWaves.Inc()
 	size := len(followers) + 1 // leader included
 	s.batchSize.Observe(float64(size))
@@ -103,8 +101,10 @@ func (s *Service) finishWave(leader *Job, prep *core.Prepared, l *lease) {
 // runBatched settles one follower inside a wave: same observability contract
 // as a worker-run job (queue-wait close, running state, cache annotation,
 // trace settlement), but on the leader's lease and against the leader's
-// Prepared. A follower whose deadline already expired fails fast inside
-// FinishContext with its context error — claimed jobs always settle.
+// Prepared. Its encode also runs on the held lease: the wave keeps the
+// device until its last follower settles. A follower whose deadline already
+// expired fails fast inside FinishContext with its context error — claimed
+// jobs always settle.
 func (s *Service) runBatched(job *Job, prep *core.Prepared, l *lease, size int) {
 	s.beginJob(job)
 	s.inFlight.Inc()
@@ -124,9 +124,10 @@ func (s *Service) runBatched(job *Job, prep *core.Prepared, l *lease, size int) 
 	s.cacheHits.Inc()
 
 	opts := s.jobOptions(job, l, tr)
-	res, err := s.finishAndEncode(job, prep, opts)
+	var res *JobResult
+	fin, err := s.finish(job, prep, opts)
 	if err == nil {
-		res.CacheHit = true
+		res, err = s.encode(job, fin, true)
 	}
 	s.reportDevice(job, l)
 	s.settleJob(job, res, err)

@@ -26,9 +26,9 @@ import (
 // deduplicated: followers wait for the leader's build instead of stampeding
 // the device pool with identical Step-2 work.
 type prepCache struct {
-	mu       sync.Mutex
-	capBytes int64
-	bytes    int64
+	mu        sync.Mutex
+	capBytes  int64
+	bytes     int64
 	ll        *list.List // MRU at the front; values are *cacheEntry
 	items     map[string]*list.Element
 	inflight  map[string]*flight

@@ -72,23 +72,23 @@ type jobRequestJSON struct {
 
 // jobResponseJSON is the wire form of a job's state/result.
 type jobResponseJSON struct {
-	JobID      string   `json:"job_id"`
-	RequestID  string   `json:"request_id,omitempty"`
-	Status     string   `json:"status"`
-	Error      string   `json:"error,omitempty"`
-	Cache      string   `json:"cache,omitempty"`
-	TotalError int64    `json:"total_error,omitempty"`
-	ElapsedMS  float64  `json:"elapsed_ms,omitempty"`
-	Retries    int64    `json:"retries,omitempty"`
-	Degraded   bool     `json:"degraded,omitempty"`
-	Partial    bool     `json:"partial,omitempty"`
+	JobID      string  `json:"job_id"`
+	RequestID  string  `json:"request_id,omitempty"`
+	Status     string  `json:"status"`
+	Error      string  `json:"error,omitempty"`
+	Cache      string  `json:"cache,omitempty"`
+	TotalError int64   `json:"total_error,omitempty"`
+	ElapsedMS  float64 `json:"elapsed_ms,omitempty"`
+	Retries    int64   `json:"retries,omitempty"`
+	Degraded   bool    `json:"degraded,omitempty"`
+	Partial    bool    `json:"partial,omitempty"`
 	// CertifiedGap is the assignment solver's certified optimality gap when
 	// one was computed (auction/Sinkhorn paths); for a partial result it
 	// bounds how far the early-stopped answer can be from optimal.
-	CertifiedGap float64 `json:"certified_gap,omitempty"`
-	Spans      []string `json:"spans,omitempty"`
-	PNGBase64  string   `json:"png_base64,omitempty"`
-	StatusURL  string   `json:"status_url,omitempty"`
+	CertifiedGap float64  `json:"certified_gap,omitempty"`
+	Spans        []string `json:"spans,omitempty"`
+	PNGBase64    string   `json:"png_base64,omitempty"`
+	StatusURL    string   `json:"status_url,omitempty"`
 }
 
 func (s *Service) handleMosaic(w http.ResponseWriter, r *http.Request) {

@@ -134,6 +134,10 @@ type Config struct {
 	// testJobStart, when set, runs at the top of every job execution —
 	// the test seam for holding workers busy deterministically.
 	testJobStart func(*Job)
+	// testBeforeEncode, when set, runs just before a finished job's PNG
+	// encode — the test seam for holding a job between its Finish and its
+	// response.
+	testBeforeEncode func(*Job)
 }
 
 func (c *Config) applyDefaults() {
@@ -394,10 +398,10 @@ func New(cfg Config) *Service {
 			ProbeInterval:    cfg.ProbeInterval,
 			Registry:         cfg.Registry,
 		}),
-		cache:    newPrepCache(cfg.CacheBytes),
-		queue:    make(chan *Job, cfg.QueueDepth),
-		jobs:     make(map[string]*Job),
-		pending:  make(map[string][]*Job),
+		cache:     newPrepCache(cfg.CacheBytes),
+		queue:     make(chan *Job, cfg.QueueDepth),
+		jobs:      make(map[string]*Job),
+		pending:   make(map[string][]*Job),
 		recorder:  newFlightRecorder(cfg.RecorderSlow, cfg.RecorderErrors),
 		estimator: newPhaseEstimator(cfg.AdmissionMinSamples),
 	}
@@ -724,12 +728,18 @@ func (s *Service) unpend(job *Job) {
 }
 
 // run executes one claimed job: lease a device, reuse or build the prepared
-// input, finish the pipeline, encode the result — then settles the request's
-// observability artifacts (span tree, phase histograms, access log, flight
-// recorder) before waking any waiter, so a synchronous client's immediate
-// /debug/requests follow-up finds its own entry. After settling its own job
-// the worker, still holding the device lease, claims every queued job that
-// shares the same prepared work and settles them as one Finish wave — the
+// input and finish the pipeline on it — the device-lease critical section —
+// then encode the result and settle the request's observability artifacts
+// (span tree, phase histograms, access log, flight recorder) before waking
+// any waiter, so a synchronous client's immediate /debug/requests follow-up
+// finds its own entry.
+//
+// Right after the Finish (and the health report, which precedes Release as
+// the pool documents) the worker claims every queued job sharing the same
+// prepared work. An empty claim releases the lease at once, so the CPU-only
+// encode and settlement overlap the next job's device work. A non-empty
+// claim is a Finish wave: the leader is still encoded and settled first,
+// then the followers run on the held lease, then it is released — the
 // micro-batching that amortizes acquire/launch overhead across same-content
 // bursts.
 func (s *Service) run(job *Job) {
@@ -745,13 +755,24 @@ func (s *Service) run(job *Job) {
 		s.settleJob(job, nil, err)
 		return
 	}
-	res, prep, err := s.execute(job, l)
+	fin, prep, hit, err := s.execute(job, l)
 	s.reportDevice(job, l)
-	s.settleJob(job, res, err)
+	var followers []*Job
 	if prep != nil && !s.cfg.NoBatching {
-		s.finishWave(job, prep, l)
+		followers = s.claimBatch(job.contentHash)
 	}
-	s.releaseLease(l)
+	if len(followers) == 0 {
+		s.releaseLease(l)
+	}
+	var res *JobResult
+	if err == nil {
+		res, err = s.encode(job, fin, hit)
+	}
+	s.settleJob(job, res, err)
+	if len(followers) > 0 {
+		s.finishWave(prep, l, followers)
+		s.releaseLease(l)
+	}
 }
 
 // beginJob closes the queue-wait span and flips the job to running — the
@@ -894,11 +915,13 @@ func (s *Service) settleTrace(job *Job, outcome string, jobErr error) {
 	})
 }
 
-// execute runs one job's pipeline under an already-acquired lease: reuse or
-// build the prepared input, finish, encode. The Prepared is returned (even
-// when the Finish itself failed) so run can coalesce queued same-content
-// jobs into a wave on the same lease.
-func (s *Service) execute(job *Job, l *lease) (*JobResult, *core.Prepared, error) {
+// execute runs the device part of one job's pipeline under an
+// already-acquired lease: reuse or build the prepared input, then finish.
+// It reports whether the Prepared came from the cache. The Prepared is
+// returned (even when the Finish itself failed) so run can coalesce queued
+// same-content jobs into a wave on the same lease; encoding is left to the
+// caller, which may already have released the lease.
+func (s *Service) execute(job *Job, l *lease) (*core.Result, *core.Prepared, bool, error) {
 	ctx := job.ctx
 	req := job.req
 
@@ -927,7 +950,7 @@ func (s *Service) execute(job *Job, l *lease) (*JobResult, *core.Prepared, error
 	})
 	lookupSpan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	job.cacheLabel = cacheLabel(hit)
 	trace.Annotate(job.reqSpan, trace.AttrCache, job.cacheLabel)
@@ -937,12 +960,8 @@ func (s *Service) execute(job *Job, l *lease) (*JobResult, *core.Prepared, error
 		s.cacheMisses.Inc()
 	}
 
-	res, err := s.finishAndEncode(job, prep, opts)
-	if err != nil {
-		return nil, prep, err
-	}
-	res.CacheHit = hit
-	return res, prep, nil
+	res, err := s.finish(job, prep, opts)
+	return res, prep, hit, err
 }
 
 // jobOptions assembles the pipeline options for one job on one lease.
@@ -970,13 +989,9 @@ func (s *Service) jobOptions(job *Job, l *lease, tr trace.Collector) core.Option
 	}
 }
 
-// finishAndEncode runs Step 3 + assembly on the shared Prepared and encodes
-// the mosaic. The result reports the job-level tree, not res.Stats: the job
-// tree saw this job's prepare spans too (when it was the cache-miss
-// builder), so the span list is the observable hit/miss signature —
-// error-matrix present only when Step 2 actually ran for this request.
-// settleJob refreshes Stats once the request root closes.
-func (s *Service) finishAndEncode(job *Job, prep *core.Prepared, opts core.Options) (*JobResult, error) {
+// finish runs Step 3 + assembly on the shared Prepared — the last stage that
+// needs the device lease.
+func (s *Service) finish(job *Job, prep *core.Prepared, opts core.Options) (*core.Result, error) {
 	res, err := prep.FinishContext(job.ctx, opts)
 	if err != nil {
 		return nil, err
@@ -984,20 +999,34 @@ func (s *Service) finishAndEncode(job *Job, prep *core.Prepared, opts core.Optio
 	for stage, ns := range res.BudgetRemaining {
 		s.budgetRemaining(stage).Set(float64(ns))
 	}
+	job.partial = res.Partial
+	return res, nil
+}
+
+// encode turns a finished mosaic into the job's response. It is host-only
+// work, so run calls it after releasing the lease unless a Finish wave still
+// holds it. The result reports the job-level tree, not res.Stats: the job
+// tree saw this job's prepare spans too (when it was the cache-miss
+// builder), so the span list is the observable hit/miss signature —
+// error-matrix present only when Step 2 actually ran for this request.
+// settleJob refreshes Stats once the request root closes.
+func (s *Service) encode(job *Job, res *core.Result, hit bool) (*JobResult, error) {
+	if s.cfg.testBeforeEncode != nil {
+		s.cfg.testBeforeEncode(job)
+	}
 	encSpan := job.tree.StartSpan(trace.SpanEncode)
-	var buf bytes.Buffer
-	if err := png.Encode(&buf, res.Mosaic.ToImage()); err != nil {
-		encSpan.End()
+	data, err := encodePNG(res.Mosaic)
+	encSpan.End()
+	if err != nil {
 		return nil, fmt.Errorf("service: encode: %w", err)
 	}
-	encSpan.End()
 	if job.anytime {
 		s.budgetRemaining("encode").Set(float64(time.Until(job.deadline).Nanoseconds()))
 	}
-	job.partial = res.Partial
 	jr := &JobResult{
-		PNG:        buf.Bytes(),
+		PNG:        data,
 		TotalError: res.TotalError,
+		CacheHit:   hit,
 		Stats:      job.tree.Snapshot(),
 		Partial:    res.Partial,
 	}
@@ -1005,6 +1034,31 @@ func (s *Service) finishAndEncode(job *Job, prep *core.Prepared, opts core.Optio
 		jr.CertifiedGap = res.AssignInfo.Gap
 	}
 	return jr, nil
+}
+
+// pngEncoder encodes every response. BestSpeed trades ~20% larger files for
+// a several-fold cheaper deflate than the default level; the pixels are
+// identical either way. The buffer pool reuses the encoder's filter rows and
+// zlib state across requests, which concurrent encodes may share safely.
+var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: &encoderPool{}}
+
+// encoderPool is a png.EncoderBufferPool backed by a sync.Pool.
+type encoderPool struct{ p sync.Pool }
+
+func (e *encoderPool) Get() *png.EncoderBuffer {
+	b, _ := e.p.Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (e *encoderPool) Put(b *png.EncoderBuffer) { e.p.Put(b) }
+
+// encodePNG encodes one mosaic with the response encoder.
+func encodePNG(m *imgutil.Gray) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := pngEncoder.Encode(&buf, m.ToImage()); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // accessLine is one structured access-log record; all durations nanoseconds.

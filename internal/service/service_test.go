@@ -409,7 +409,7 @@ func TestMultipartUpload(t *testing.T) {
 
 // --- helpers ---
 
-func mustScene(t *testing.T, name string, n int) *imgutil.Gray {
+func mustScene(t testing.TB, name string, n int) *imgutil.Gray {
 	t.Helper()
 	sc, err := synth.ParseScene(name)
 	if err != nil {
