@@ -225,10 +225,10 @@ chaos-smoke:
 # The columnar tile store's correctness gates under the race detector: the
 # differential oracle battery (every builder × metric × orientation, store vs
 # legacy crop path), the store's unit oracles and committed fuzz seed corpus,
-# and the golden end-to-end gallery hashes.
+# and the golden end-to-end hashes (gallery, colour, oriented, proxy, video).
 tilestore-smoke:
-	$(GO) test -race -run 'TestTileStore|TestFromGrid|TestScatter|TestGather|TestGlobalHistogram|TestLayout|TestMean|TestBuildStore|TestStoreContext|TestSplitRange|TestGoldenGalleryScenes|Fuzz' \
-		./internal/tilestore/ ./internal/metric/ ./internal/cuda/ ./internal/core/
+	$(GO) test -race -run 'TestTileStore|TestFromGrid|TestScatter|TestGather|TestGlobalHistogram|TestLayout|TestMean|TestBuildStore|TestStoreContext|TestSplitRange|TestGolden|Fuzz' \
+		./internal/tilestore/ ./internal/metric/ ./internal/cuda/ ./internal/core/ ./internal/video/
 	@echo "tilestore-smoke: ok"
 
 # The assignment-solver quality gate on the pinned comparison instance
