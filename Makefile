@@ -223,11 +223,12 @@ chaos-smoke:
 	echo "chaos-smoke: ok"
 
 # The columnar tile store's correctness gates under the race detector: the
-# differential oracle battery (every builder × metric × orientation, store vs
-# legacy crop path), the store's unit oracles and committed fuzz seed corpus,
+# differential oracle battery (every builder × metric × orientation, colour
+# and proxy included, against a crop-and-score oracle), the store's unit
+# oracles and committed fuzz seed corpus,
 # and the golden end-to-end hashes (gallery, colour, oriented, proxy, video).
 tilestore-smoke:
-	$(GO) test -race -run 'TestTileStore|TestFromGrid|TestScatter|TestGather|TestGlobalHistogram|TestLayout|TestMean|TestBuildStore|TestStoreContext|TestSplitRange|TestGolden|Fuzz' \
+	$(GO) test -race -run 'TestTileStore|TestFromGrid|TestFromRGB|TestScatter|TestGather|TestGlobalHistogram|TestLayout|TestMean|TestBuildStore|TestStoreContext|TestSplitRange|TestGolden|Fuzz' \
 		./internal/tilestore/ ./internal/metric/ ./internal/cuda/ ./internal/core/ ./internal/video/
 	@echo "tilestore-smoke: ok"
 

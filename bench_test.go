@@ -25,11 +25,11 @@ import (
 	"repro/internal/metric"
 	"repro/internal/perm"
 	"repro/internal/synth"
-	"repro/internal/tile"
+	"repro/internal/tilestore"
 )
 
-// benchGrids prepares histogram-matched input and target grids.
-func benchGrids(b *testing.B, in, tgt synth.Scene, n, tiles int) (*tile.Grid, *tile.Grid) {
+// benchStores prepares histogram-matched input and target tile stores.
+func benchStores(b *testing.B, in, tgt synth.Scene, n, tiles int) (*tilestore.Store, *tilestore.Store) {
 	b.Helper()
 	input := synth.MustGenerate(in, n)
 	target := synth.MustGenerate(tgt, n)
@@ -37,11 +37,11 @@ func benchGrids(b *testing.B, in, tgt synth.Scene, n, tiles int) (*tile.Grid, *t
 	if err != nil {
 		b.Fatal(err)
 	}
-	ig, err := tile.NewGridByCount(matched, tiles)
+	ig, err := tilestore.FromImage(matched, n/tiles)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tg, err := tile.NewGridByCount(target, tiles)
+	tg, err := tilestore.FromImage(target, n/tiles)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,8 +50,8 @@ func benchGrids(b *testing.B, in, tgt synth.Scene, n, tiles int) (*tile.Grid, *t
 
 func benchCosts(b *testing.B, n, tiles int) *metric.Matrix {
 	b.Helper()
-	ig, tg := benchGrids(b, synth.Lena, synth.Sailboat, n, tiles)
-	m, err := metric.BuildSerial(ig, tg, metric.L1)
+	ig, tg := benchStores(b, synth.Lena, synth.Sailboat, n, tiles)
+	m, err := metric.BuildStoreBlocked(ig, tg, metric.L1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,39 +108,39 @@ func BenchmarkTable1_TotalError(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2_ErrorMatrix times Step 2 (the S×S tile-error matrix),
-// serial versus the CUDA-shaped device kernel — Table II's two columns.
+// BenchmarkTable2_ErrorMatrix times Step 2 (the S×S tile-error matrix), the
+// host loop versus the CUDA-shaped device kernel — Table II's two columns.
 func BenchmarkTable2_ErrorMatrix(b *testing.B) {
 	dev := cuda.New(0)
 	for _, tiles := range tileCounts {
-		ig, tg := benchGrids(b, synth.Lena, synth.Sailboat, 512, tiles)
+		ig, tg := benchStores(b, synth.Lena, synth.Sailboat, 512, tiles)
 		b.Run(fmt.Sprintf("N=512/S=%dx%d/cpu", tiles, tiles), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := metric.BuildSerial(ig, tg, metric.L1); err != nil {
+				if _, err := metric.BuildStoreBlocked(ig, tg, metric.L1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("N=512/S=%dx%d/gpu", tiles, tiles), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := metric.BuildDevice(dev, ig, tg, metric.L1); err != nil {
+				if _, err := metric.BuildStoreDevice(dev, ig, tg, metric.L1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 	// One larger size to expose the N-dependence of Table II.
-	ig, tg := benchGrids(b, synth.Lena, synth.Sailboat, 1024, 32)
+	ig, tg := benchStores(b, synth.Lena, synth.Sailboat, 1024, 32)
 	b.Run("N=1024/S=32x32/cpu", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := metric.BuildSerial(ig, tg, metric.L1); err != nil {
+			if _, err := metric.BuildStoreBlocked(ig, tg, metric.L1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("N=1024/S=32x32/gpu", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := metric.BuildDevice(dev, ig, tg, metric.L1); err != nil {
+			if _, err := metric.BuildStoreDevice(dev, ig, tg, metric.L1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -294,27 +294,6 @@ func BenchmarkAblation_FirstVsBestImprovement(b *testing.B) {
 	b.Run("best-improvement", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := localsearch.SerialBestImprovement(costs, perm.Identity(s), localsearch.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_KernelShape isolates the cost of the CUDA-shaped
-// decomposition against plain row-parallelism for Step 2.
-func BenchmarkAblation_KernelShape(b *testing.B) {
-	ig, tg := benchGrids(b, synth.Lena, synth.Sailboat, 512, 32)
-	dev := cuda.New(0)
-	b.Run("cuda-blocks", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := metric.BuildDevice(dev, ig, tg, metric.L1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("row-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := metric.BuildRowsParallel(dev, ig, tg, metric.L1); err != nil {
 				b.Fatal(err)
 			}
 		}

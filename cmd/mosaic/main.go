@@ -45,7 +45,6 @@ func run() error {
 		size       = flag.Int("size", 512, "working image size (images are resampled to size×size)")
 		tiles      = flag.Int("tiles", 32, "tiles per side (the paper's 16, 32 or 64)")
 		algorithm  = flag.String("algorithm", "approximation", "rearrangement algorithm: optimization | approximation | approximation-dirty | approximation-parallel | greedy | identity | annealing")
-		builder    = flag.String("builder", "auto", "Step-2 matrix builder: auto | serial | scalar | blocked | device | rows-parallel (all bit-identical, streaming the columnar tile store)")
 		cands      = flag.Int("candidates", 0, "top-K candidate-list warm sweeps for approximation-dirty (0 = off)")
 		storeCands = flag.Bool("store-candidates", false, "derive approximation-dirty's warm-sweep candidates from the tile store's thumbnail features instead of matrix columns")
 		rotations  = flag.Bool("rotations", false, "allow the eight dihedral tile orientations (grayscale only)")
@@ -79,15 +78,10 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown metric %q", *metricStr)
 	}
-	b, err := mosaic.ParseBuilder(*builder)
-	if err != nil {
-		return err
-	}
 	opts := mosaic.Options{
 		TilesPerSide:      *tiles,
 		Algorithm:         mosaic.Algorithm(*algorithm),
 		Solver:            mosaic.Solver(*solver),
-		Builder:           b,
 		Metric:            met,
 		NoHistogramMatch:  *noHist,
 		AllowOrientations: *rotations,
@@ -95,12 +89,12 @@ func run() error {
 	}
 	opts.Search.Candidates = *cands
 	opts.StoreCandidates = *storeCands
-	if opts.Algorithm == mosaic.ParallelApproximation || b.NeedsDevice() || *gpu {
+	if opts.Algorithm == mosaic.ParallelApproximation || *gpu {
 		opts.Device = mosaic.NewDevice(*workers)
 	}
 	if *chaosSpec != "" {
 		if opts.Device == nil {
-			return fmt.Errorf("-chaos needs a device stage (use -algorithm approximation-parallel, -builder device or -gpu)")
+			return fmt.Errorf("-chaos needs a device stage (use -algorithm approximation-parallel or -gpu)")
 		}
 		plan, err := mosaic.ParseFaultSpec(*chaosSpec)
 		if err != nil {

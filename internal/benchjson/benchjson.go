@@ -26,7 +26,6 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/imgutil"
 	"repro/internal/localsearch"
-	"repro/internal/metric"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 	"repro/internal/tilestore"
@@ -54,7 +53,7 @@ type Workload struct {
 	Tiles     int    `json:"tiles_per_side"`
 	Algorithm string `json:"algorithm"`
 	Metric    string `json:"metric"`
-	Builder   string `json:"builder,omitempty"` // Step-2 matrix builder; empty = auto
+	Builder   string `json:"builder,omitempty"` // Step-2 target the run used: "blocked" (host) or "device"
 	Workers   int    `json:"workers,omitempty"` // device pool size, parallel runs only
 }
 
@@ -172,7 +171,7 @@ func ExecuteSized(ctx context.Context, size, tiles int) (*Report, error) {
 	serial := Workload{
 		Input: pinnedInput, Target: pinnedTarget, Size: size, Tiles: tiles,
 		Algorithm: string(core.Approximation), Metric: "l1",
-		Builder: string(metric.BuilderBlocked),
+		Builder: "blocked",
 	}
 	serialRun, err := execute(ctx, input, target, serial, nil)
 	if err != nil {
@@ -203,7 +202,7 @@ func ExecuteSized(ctx context.Context, size, tiles int) (*Report, error) {
 
 	parallel := serial
 	parallel.Algorithm = string(core.ParallelApproximation)
-	parallel.Builder = string(metric.BuilderDevice)
+	parallel.Builder = "device"
 	parallel.Workers = dev.Workers()
 	run, err := execute(ctx, input, target, parallel, dev)
 	if err != nil {
@@ -240,14 +239,9 @@ func pinnedImages(size int) (input, target *imgutil.Gray, err error) {
 // execute runs one pipeline over the prepared images.
 func execute(ctx context.Context, input, target *imgutil.Gray, w Workload, dev *cuda.Device) (*Run, error) {
 	rec := telemetry.NewConvergenceRecorder(nil)
-	builder, err := metric.ParseBuilder(w.Builder)
-	if err != nil {
-		return nil, err
-	}
 	res, err := core.GenerateContext(ctx, input, target, core.Options{
 		TilesPerSide: w.Tiles,
 		Algorithm:    core.Algorithm(w.Algorithm),
-		Builder:      builder,
 		Device:       dev,
 		Search:       localsearch.Options{Progress: rec.Sweep},
 	})

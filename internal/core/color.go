@@ -10,6 +10,7 @@ import (
 	"repro/internal/imgutil"
 	"repro/internal/metric"
 	"repro/internal/tile"
+	"repro/internal/tilestore"
 	"repro/internal/trace"
 )
 
@@ -44,8 +45,10 @@ func checkGeometryRGB(img *imgutil.RGB, role string) error {
 
 // GenerateRGB runs the pipeline on color images. The paper's §II remark —
 // color needs "only … changing the error function in Eq. (1)" — is realised
-// by the per-channel L1/L2 error of metric.BuildSerialRGB; histogram
-// matching becomes per-channel matching.
+// by 3-channel tile stores (tilestore.FromRGB): Eq. (1) over a block's
+// interleaved bytes is the summed per-channel L1/L2 error, so the grayscale
+// Step-2 builders run unchanged. Histogram matching becomes per-channel
+// matching.
 func GenerateRGB(input, target *imgutil.RGB, opts Options) (*ResultRGB, error) {
 	return GenerateRGBContext(context.Background(), input, target, opts)
 }
@@ -121,7 +124,11 @@ func generateRGB(ctx context.Context, input, target *imgutil.RGB, opts Options, 
 	if err != nil {
 		return nil, err
 	}
-	tgtGrid, err := tile.NewRGBGrid(target, m)
+	inStore, err := tilestore.FromRGB(work, m)
+	if err != nil {
+		return nil, err
+	}
+	tgtStore, err := tilestore.FromRGB(target, m)
 	if err != nil {
 		return nil, err
 	}
@@ -132,12 +139,7 @@ func generateRGB(ctx context.Context, input, target *imgutil.RGB, opts Options, 
 
 	t0 = time.Now()
 	sp = trace.Start(tr, trace.SpanCostMatrix)
-	var costs *metric.Matrix
-	if opts.Device != nil {
-		costs, err = metric.BuildDeviceRGB(opts.Device, inGrid, tgtGrid, opts.Metric)
-	} else {
-		costs, err = metric.BuildSerialRGB(inGrid, tgtGrid, opts.Metric)
-	}
+	costs, err := metric.BuildStore(opts.Device, inStore, tgtStore, opts.Metric, metric.BuilderAuto)
 	if err != nil {
 		return nil, err
 	}

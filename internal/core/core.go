@@ -92,19 +92,14 @@ type Options struct {
 	Solver assign.Algorithm
 	// Metric picks the per-pixel error of Eq. (1); default L1 (the paper's).
 	Metric metric.Metric
-	// Builder picks the Step-2 matrix construction strategy. The zero value
-	// (metric.BuilderAuto) resolves to the device kernel when Device is set
-	// and the cache-blocked single-core loop otherwise; every builder yields
-	// a bit-identical matrix. Only the plain grayscale matrix honours it —
-	// AllowOrientations and ProxyResolution have their own builders and
-	// require BuilderAuto.
-	Builder metric.Builder
 	// NoHistogramMatch disables the §II preprocessing that reshapes the
 	// input's intensity distribution to the target's.
 	NoHistogramMatch bool
 	// Device supplies the virtual accelerator. nil leaves every stage on
-	// the CPU (the paper's "CPU" columns); non-nil moves the Step-2 matrix
-	// and, for ParallelApproximation, the Step-3 swaps onto the device.
+	// the CPU (the paper's "CPU" columns: the cache-blocked host loop builds
+	// the Step-2 matrix); non-nil moves the Step-2 matrix (the §V kernel)
+	// and, for ParallelApproximation, the Step-3 swaps onto the device. Both
+	// targets build the identical matrix.
 	Device *cuda.Device
 	// Coloring optionally supplies a precomputed, verified edge coloring of
 	// K_S for ParallelApproximation; the paper precomputes it per S and
@@ -171,7 +166,7 @@ type Options struct {
 // pipeline stages. Each kernel launch (the Step-2 matrix build; each
 // color-class sweep of Algorithm 2) is retried per Retry; when retries are
 // exhausted — or immediately on cuda.ErrDeviceLost — the stage degrades to
-// the bit-identical host equivalent (metric.BuildBlocked; a serial sweep of
+// the bit-identical host equivalent (metric.BuildStoreBlocked; a serial sweep of
 // the class's pairs), recording trace.SpanDegraded and
 // trace.CounterDegradedRuns, unless DisableFallback is set, in which case
 // the run fails with the launch error.
@@ -310,17 +305,6 @@ func (o *Options) validate(input, target *imgutil.Gray) (int, error) {
 	}
 	if o.Algorithm == ParallelApproximation && o.Device == nil && !o.cpuFallbackAllowed() {
 		return 0, fmt.Errorf("core: %s requires a Device: %w", ParallelApproximation, ErrOptions)
-	}
-	if _, err := metric.ParseBuilder(string(o.Builder)); err != nil {
-		return 0, fmt.Errorf("core: %v: %w", err, ErrOptions)
-	}
-	if o.Builder != metric.BuilderAuto {
-		if o.AllowOrientations || o.ProxyResolution > 0 {
-			return 0, fmt.Errorf("core: Builder %q requires the plain matrix (no orientations/proxy): %w", o.Builder, ErrOptions)
-		}
-		if o.Builder.NeedsDevice() && o.Device == nil {
-			return 0, fmt.Errorf("core: builder %q requires a Device: %w", o.Builder, ErrOptions)
-		}
 	}
 	if o.ProxyResolution > 0 {
 		if o.AllowOrientations {

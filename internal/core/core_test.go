@@ -11,7 +11,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/perm"
 	"repro/internal/synth"
-	"repro/internal/tile"
+	"repro/internal/tilestore"
 )
 
 func pair(t testing.TB, n int) (*imgutil.Gray, *imgutil.Gray) {
@@ -233,9 +233,9 @@ func TestTimingPopulated(t *testing.T) {
 
 func TestRearrangeStandalone(t *testing.T) {
 	input, target := pair(t, 64)
-	inGrid, _ := tile.NewGridByCount(input, 8)
-	tgtGrid, _ := tile.NewGridByCount(target, 8)
-	costs, err := metric.BuildSerial(inGrid, tgtGrid, metric.L1)
+	inStore, _ := tilestore.FromImage(input, 8)
+	tgtStore, _ := tilestore.FromImage(target, 8)
+	costs, err := metric.BuildStoreBlocked(inStore, tgtStore, metric.L1)
 	if err != nil {
 		t.Fatal(err)
 	}

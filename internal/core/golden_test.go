@@ -2,17 +2,13 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"testing"
 
-	"repro/internal/cuda"
-	"repro/internal/metric"
 	"repro/internal/synth"
 )
 
 // Golden end-to-end gates: two gallery scenes (the fig8 pairs) run through
-// the full pipeline under every Step-2 builder, and the SHA-256 of the
+// the full pipeline on the host and on a device, and the SHA-256 of the
 // mosaic's pixel buffer must match a pinned constant. The pipeline is pure
 // integer arithmetic over deterministic synth scenes, so the hashes are
 // platform-independent; hashing pixels rather than encoded PNG bytes keeps
@@ -25,7 +21,7 @@ import (
 var goldenScenes = []struct {
 	name    string
 	in, tgt synth.Scene
-	hash    string // SHA-256 of the mosaic pixel buffer, identical across builders
+	hash    string // SHA-256 of the mosaic pixel buffer, identical on host and device
 }{
 	{"fig8-airplane-to-lena", synth.Airplane, synth.Lena,
 		"ef07e7c9549686c4d37ecb7db4ee1561a5606f4a596447ceb47c5b0cec9ea2ca"},
@@ -37,18 +33,14 @@ func TestGoldenGalleryScenes(t *testing.T) {
 	for _, sc := range goldenScenes {
 		input := synth.MustGenerate(sc.in, 128)
 		target := synth.MustGenerate(sc.tgt, 128)
-		for _, b := range append(metric.Builders(), metric.BuilderAuto) {
-			opts := Options{TilesPerSide: 16, Algorithm: Approximation, Builder: b}
-			if b.NeedsDevice() {
-				opts.Device = cuda.New(0)
-			}
+		for _, tg := range goldenTargets {
+			opts := Options{TilesPerSide: 16, Algorithm: Approximation, Device: tg.dev()}
 			res, err := GenerateContext(context.Background(), input, target, opts)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", sc.name, b, err)
+				t.Fatalf("%s/%s: %v", sc.name, tg.name, err)
 			}
-			sum := sha256.Sum256(res.Mosaic.Pix)
-			if got := hex.EncodeToString(sum[:]); got != sc.hash {
-				t.Errorf("%s/builder=%q: mosaic hash %s, want %s", sc.name, b, got, sc.hash)
+			if got := pixHash(res.Mosaic.Pix); got != sc.hash {
+				t.Errorf("%s/%s: mosaic hash %s, want %s", sc.name, tg.name, got, sc.hash)
 			}
 		}
 	}

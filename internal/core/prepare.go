@@ -72,9 +72,11 @@ func (p *Prepared) MemoryBytes() int64 {
 	return n
 }
 
-// Costs returns the prepared S×S error matrix. The matrix is shared, not
-// copied — callers must treat it as read-only (benchjson's solver comparison
-// and the solver-smoke gate read it to run the exact matchers standalone).
+// Costs returns the prepared S×S error matrix — the oriented minimum when
+// orientations were scored, the proxy matrix under ProxyResolution. The
+// matrix is shared, not copied: callers must treat it as read-only (the
+// solver comparison, the solver-smoke gate and the perfbench traced harness
+// run Step 3 on it directly).
 func (p *Prepared) Costs() *metric.Matrix { return p.costs }
 
 // InputStore returns the input image's columnar tile store (post-matching).
@@ -241,12 +243,10 @@ func prepareStages(ctx context.Context, input, target *imgutil.Gray, opts Option
 	}
 
 	// Step 2: the S×S error matrix (oriented variant scores all eight
-	// dihedral placements per pair and keeps the best). The builders stream
-	// the columnar stores — no per-build re-gather — and are bit-identical to
-	// the legacy crop-path builders of the same name (the differential oracle
-	// battery in metric enforces this). Only the proxy builder still reads
-	// the grids: it downsamples tiles to descriptors rather than streaming
-	// full-resolution blocks.
+	// dihedral placements per pair and keeps the best), built from the
+	// columnar stores — no per-build re-gather — on the device when one is
+	// supplied and on the host otherwise. Every builder is bit-identical to
+	// the crop-and-score oracle of metric's differential battery.
 	t0 = time.Now()
 	sp = trace.Start(tr, trace.SpanCostMatrix)
 	switch {
@@ -255,11 +255,11 @@ func prepareStages(ctx context.Context, input, target *imgutil.Gray, opts Option
 	case opts.AllowOrientations:
 		p.oriented, err = metric.BuildOrientedStore(p.inStore, p.tgtStore, opts.Metric)
 	case opts.ProxyResolution > 0:
-		p.costs, err = metric.BuildProxy(p.inGrid, p.tgtGrid, opts.Metric, opts.ProxyResolution)
+		p.costs, err = metric.BuildProxy(p.inStore, p.tgtStore, opts.Metric, opts.ProxyResolution)
 	case opts.Resilience != nil:
 		p.costs, err = buildCostsResilient(ctx, opts, p.inStore, p.tgtStore, tr)
 	default:
-		p.costs, err = metric.BuildStore(opts.Device, p.inStore, p.tgtStore, opts.Metric, opts.Builder)
+		p.costs, err = metric.BuildStore(opts.Device, p.inStore, p.tgtStore, opts.Metric, metric.BuilderAuto)
 	}
 	if err != nil {
 		return nil, err

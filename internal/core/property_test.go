@@ -10,6 +10,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/synth"
 	"repro/internal/tile"
+	"repro/internal/tilestore"
 )
 
 // TestAssignmentPermutationProperty checks, for every Algorithm × Metric
@@ -86,15 +87,15 @@ func TestAlgorithmCostOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inGrid, err := tile.NewGridByCount(matched, 16)
+			inStore, err := tilestore.FromImage(matched, matched.W/16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tgtGrid, err := tile.NewGridByCount(target, 16)
+			tgtStore, err := tilestore.FromImage(target, target.W/16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			costs, err := metric.BuildSerial(inGrid, tgtGrid, metric.L1)
+			costs, err := metric.BuildStoreBlocked(inStore, tgtStore, metric.L1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,24 +21,15 @@ func isDeviceFault(err error) bool {
 		errors.Is(err, cuda.ErrDeviceHung)
 }
 
-// buildCostsResilient is the fault-tolerant Step-2 build: the device-backed
-// builders run through the error-returning launch path under
+// buildCostsResilient is the fault-tolerant Step-2 build: the device kernel
+// runs through the error-returning launch path under
 // opts.Resilience.Retry; exhausted retries (or an immediate device loss)
 // degrade to metric.BuildStoreBlocked, which is certified bit-identical to
-// the device builders, under a trace.SpanDegraded span. CPU builders pass
-// through untouched — there is nothing to retry. All paths stream the
-// columnar tile stores.
+// the device kernel, under a trace.SpanDegraded span. Without a device the
+// host build runs untouched — there is nothing to retry.
 func buildCostsResilient(ctx context.Context, opts Options, in, tgt *tilestore.Store, tr trace.Collector) (*metric.Matrix, error) {
-	b := opts.Builder
-	if b == metric.BuilderAuto {
-		if opts.Device != nil {
-			b = metric.BuilderDevice
-		} else {
-			b = metric.BuilderBlocked
-		}
-	}
-	if opts.Device == nil || !b.NeedsDevice() {
-		return metric.BuildStore(opts.Device, in, tgt, opts.Metric, b)
+	if opts.Device == nil {
+		return metric.BuildStoreBlocked(in, tgt, opts.Metric)
 	}
 	pol := opts.Resilience.Retry
 	if pol.OnBackoff == nil {
@@ -53,11 +44,7 @@ func buildCostsResilient(ctx context.Context, opts Options, in, tgt *tilestore.S
 			trace.Count(tr, trace.CounterLaunchRetries, 1)
 		}
 		var err error
-		if b == metric.BuilderRows {
-			costs, err = metric.BuildStoreRowsParallelContext(ctx, opts.Device, in, tgt, opts.Metric)
-		} else {
-			costs, err = metric.BuildStoreDeviceContext(ctx, opts.Device, in, tgt, opts.Metric)
-		}
+		costs, err = metric.BuildStoreDeviceContext(ctx, opts.Device, in, tgt, opts.Metric)
 		if err != nil && isDeviceFault(err) {
 			trace.Count(tr, trace.CounterLaunchFaults, 1)
 			if errors.Is(err, cuda.ErrDeviceLost) {

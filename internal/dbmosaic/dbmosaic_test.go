@@ -9,6 +9,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/synth"
 	"repro/internal/tile"
+	"repro/internal/tilestore"
 )
 
 func TestSelfDatabaseGivesZeroError(t *testing.T) {
@@ -126,9 +127,9 @@ func TestDatabaseBeatsRearrangementWithRichDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Any bijective rearrangement's error is ≥ the per-position minima sum.
-	inGrid, _ := tile.NewGrid(matched, 8)
-	tgtGrid, _ := tile.NewGrid(target, 8)
-	costs, err := metric.BuildSerial(inGrid, tgtGrid, metric.L1)
+	inStore, _ := tilestore.FromImage(matched, 8)
+	tgtStore, _ := tilestore.FromImage(target, 8)
+	costs, err := metric.BuildStoreBlocked(inStore, tgtStore, metric.L1)
 	if err != nil {
 		t.Fatal(err)
 	}

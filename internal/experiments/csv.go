@@ -15,7 +15,7 @@ func WriteCellsCSV(cells []*Cell, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"image_size", "tiles_per_side", "s",
-		"step2_scalar_s", "step2_cpu_s", "step2_blocked_s", "step2_gpu_s",
+		"step2_cpu_s", "step2_gpu_s",
 		"step3_opt_s", "step3_approx_cpu_s", "step3_approx_dirty_s", "step3_approx_gpu_s",
 		"err_opt", "err_approx_cpu", "err_approx_dirty", "err_approx_gpu",
 		"passes_serial", "passes_dirty", "passes_parallel",
@@ -34,7 +34,7 @@ func WriteCellsCSV(cells []*Cell, w io.Writer) error {
 		}
 		row := []string{
 			strconv.Itoa(c.N), strconv.Itoa(c.Tiles), strconv.Itoa(c.S()),
-			sec(c.Step2Scalar), sec(c.Step2CPU), sec(c.Step2Blocked), sec(c.Step2GPU),
+			sec(c.Step2CPU), sec(c.Step2GPU),
 			optTime, sec(c.Step3ApproxCPU), sec(c.Step3ApproxDirty), sec(c.Step3ApproxGPU),
 			optErr, strconv.FormatInt(c.ErrApproxCPU, 10),
 			strconv.FormatInt(c.ErrApproxDirty, 10), strconv.FormatInt(c.ErrApproxGPU, 10),

@@ -106,7 +106,7 @@ func TestSweepAndTables(t *testing.T) {
 		if c.Step2CPU <= 0 || c.Step2GPU <= 0 || c.Step3ApproxCPU <= 0 || c.Step3ApproxGPU <= 0 {
 			t.Errorf("cell %dx%d has non-positive timings: %+v", c.N, c.Tiles, c)
 		}
-		if c.Step2Scalar <= 0 || c.Step2Blocked <= 0 || c.Step3ApproxDirty <= 0 {
+		if c.Step3ApproxDirty <= 0 {
 			t.Errorf("cell %dx%d missing ablation timings: %+v", c.N, c.Tiles, c)
 		}
 		if c.OptSkipped {
@@ -126,7 +126,7 @@ func TestSweepAndTables(t *testing.T) {
 	cfg.Table3(cells)
 	cfg.Table4(cells)
 	out := buf.String()
-	for _, want := range []string{"Table II", "Table III", "Table IV", "Vec×", "Dirty×", "GPU×", "Speedup"} {
+	for _, want := range []string{"Table II", "Table III", "Table IV", "Dirty×", "GPU×", "Speedup"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
@@ -384,26 +384,26 @@ func TestWriteCellsCSV(t *testing.T) {
 		t.Errorf("header: %v", rows[0])
 	}
 	// First data row: S = 16, optimization present.
-	if rows[1][2] != "16" || rows[1][20] != "false" || rows[1][11] == "" {
+	if rows[1][2] != "16" || rows[1][18] != "false" || rows[1][9] == "" {
 		t.Errorf("row 1: %v", rows[1])
 	}
 	// Second data row: S = 64, optimization skipped → empty columns.
-	if rows[2][20] != "true" || rows[2][7] != "" || rows[2][11] != "" {
+	if rows[2][18] != "true" || rows[2][5] != "" || rows[2][9] != "" {
 		t.Errorf("row 2: %v", rows[2])
 	}
 	// Every duration parses as a float.
-	for _, col := range []int{3, 4, 5, 6, 8, 9, 10} {
+	for _, col := range []int{3, 4, 6, 7, 8} {
 		if _, err := strconv.ParseFloat(rows[1][col], 64); err != nil {
 			t.Errorf("column %d not numeric: %q", col, rows[1][col])
 		}
 	}
 	// The dirty search replays the serial one: identical error, fewer or
 	// equal attempts.
-	if rows[1][12] != rows[1][13] {
-		t.Errorf("dirty error %q != serial error %q", rows[1][13], rows[1][12])
+	if rows[1][10] != rows[1][11] {
+		t.Errorf("dirty error %q != serial error %q", rows[1][11], rows[1][10])
 	}
-	as, _ := strconv.ParseInt(rows[1][18], 10, 64)
-	ad, _ := strconv.ParseInt(rows[1][19], 10, 64)
+	as, _ := strconv.ParseInt(rows[1][16], 10, 64)
+	ad, _ := strconv.ParseInt(rows[1][17], 10, 64)
 	if as <= 0 || ad <= 0 || ad > as {
 		t.Errorf("attempts serial=%d dirty=%d", as, ad)
 	}

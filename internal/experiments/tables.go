@@ -10,7 +10,7 @@ import (
 	"repro/internal/localsearch"
 	"repro/internal/metric"
 	"repro/internal/perm"
-	"repro/internal/tile"
+	"repro/internal/tilestore"
 )
 
 // Cell holds every measurement for one (pair, image size, tile count)
@@ -20,10 +20,8 @@ type Cell struct {
 	N     int // image side
 	Tiles int // tiles per side; S = Tiles²
 
-	Step2Scalar  time.Duration // serial build, byte-at-a-time scalar kernel (the "before")
-	Step2CPU     time.Duration // serial error-matrix build (SWAR kernel)
-	Step2Blocked time.Duration // cache-blocked serial build
-	Step2GPU     time.Duration // device error-matrix build
+	Step2CPU time.Duration // host error-matrix build (single core)
+	Step2GPU time.Duration // device error-matrix build (the §V kernel)
 
 	Step3Opt         time.Duration // exact matching (JV) on the CPU
 	Step3ApproxCPU   time.Duration // Algorithm 1
@@ -72,11 +70,14 @@ func (cfg *Config) runCell(p Pair, n, tiles int, cc colorings) (*Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	inGrid, err := tile.NewGridByCount(matched, tiles)
+	if n%tiles != 0 {
+		return nil, fmt.Errorf("experiments: side %d not divisible by %d tiles", n, tiles)
+	}
+	inStore, err := tilestore.FromImage(matched, n/tiles)
 	if err != nil {
 		return nil, err
 	}
-	tgtGrid, err := tile.NewGridByCount(target, tiles)
+	tgtStore, err := tilestore.FromImage(target, n/tiles)
 	if err != nil {
 		return nil, err
 	}
@@ -87,29 +88,19 @@ func (cfg *Config) runCell(p Pair, n, tiles int, cc colorings) (*Cell, error) {
 	cell := &Cell{Pair: p, N: n, Tiles: tiles}
 	s := tiles * tiles
 
-	// Step 2, every implementation. The serial build's result is reused for
-	// each Step-3 variant so all algorithms see the identical matrix (the
+	// Step 2 on both execution targets. The host build's result is reused
+	// for each Step-3 variant so all algorithms see the identical matrix (the
 	// builders are bit-identical by construction — TestBuildersEquivalent).
 	var costs *metric.Matrix
-	cell.Step2Scalar = measure(func() {
-		if _, err2 := metric.BuildSerialScalar(inGrid, tgtGrid, metric.L1); err2 != nil {
-			panic(err2)
-		}
-	})
 	cell.Step2CPU = measure(func() {
-		m, err2 := metric.BuildSerial(inGrid, tgtGrid, metric.L1)
+		m, err2 := metric.BuildStoreBlocked(inStore, tgtStore, metric.L1)
 		if err2 != nil {
 			panic(err2)
 		}
 		costs = m
 	})
-	cell.Step2Blocked = measure(func() {
-		if _, err2 := metric.BuildBlocked(inGrid, tgtGrid, metric.L1); err2 != nil {
-			panic(err2)
-		}
-	})
 	cell.Step2GPU = cfg.measureDevice(dev, func() {
-		if _, err2 := metric.BuildDevice(dev, inGrid, tgtGrid, metric.L1); err2 != nil {
+		if _, err2 := metric.BuildStoreDevice(dev, inStore, tgtStore, metric.L1); err2 != nil {
 			panic(err2)
 		}
 	})
@@ -193,9 +184,7 @@ func (cfg *Config) Sweep() ([]*Cell, error) {
 				if err != nil {
 					return nil, err
 				}
-				agg.Step2Scalar += cell.Step2Scalar
 				agg.Step2CPU += cell.Step2CPU
-				agg.Step2Blocked += cell.Step2Blocked
 				agg.Step2GPU += cell.Step2GPU
 				agg.Step3Opt += cell.Step3Opt
 				agg.Step3ApproxCPU += cell.Step3ApproxCPU
@@ -215,9 +204,7 @@ func (cfg *Config) Sweep() ([]*Cell, error) {
 				}
 			}
 			np := time.Duration(len(cfg.Pairs))
-			agg.Step2Scalar /= np
 			agg.Step2CPU /= np
-			agg.Step2Blocked /= np
 			agg.Step2GPU /= np
 			agg.Step3Opt /= np
 			agg.Step3ApproxCPU /= np
@@ -260,21 +247,17 @@ func (cfg *Config) Table1() ([]*Cell, error) {
 	return rows, nil
 }
 
-// Table2 reproduces Table II with the builder ablation alongside the paper's
-// CPU-vs-device comparison: Scalar is the byte-at-a-time kernel (the
-// "before"), CPU the SWAR serial build, Blocked the cache-blocked loop nest.
-// Vec× = Scalar/Blocked isolates the single-core vectorization win; GPU× =
+// Table2 reproduces Table II: the Step-2 matrix on the host (CPU, the
+// single-core blocked loop) and on the device (GPU, the §V kernel); GPU× =
 // CPU/GPU is the paper's speed-up column.
 func (cfg *Config) Table2(cells []*Cell) {
 	w := cfg.out()
 	fmt.Fprintf(w, "Table II — computing the error values between tiles in Step 2 (avg over %d pair(s))\n", len(cfg.Pairs))
-	fmt.Fprintf(w, "%-12s %-8s %11s %11s %11s %11s %7s %7s\n",
-		"Image", "S", "Scalar [s]", "CPU [s]", "Blocked [s]", "GPU [s]", "Vec×", "GPU×")
+	fmt.Fprintf(w, "%-12s %-8s %11s %11s %7s\n", "Image", "S", "CPU [s]", "GPU [s]", "GPU×")
 	for _, c := range cells {
-		fmt.Fprintf(w, "%-12s %-8s %11.4f %11.4f %11.4f %11.4f %7.2f %7.2f\n",
+		fmt.Fprintf(w, "%-12s %-8s %11.4f %11.4f %7.2f\n",
 			fmt.Sprintf("%dx%d", c.N, c.N), fmt.Sprintf("%dx%d", c.Tiles, c.Tiles),
-			c.Step2Scalar.Seconds(), c.Step2CPU.Seconds(), c.Step2Blocked.Seconds(),
-			c.Step2GPU.Seconds(), speedup(c.Step2Scalar, c.Step2Blocked), speedup(c.Step2CPU, c.Step2GPU))
+			c.Step2CPU.Seconds(), c.Step2GPU.Seconds(), speedup(c.Step2CPU, c.Step2GPU))
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/perm"
 	"repro/internal/synth"
-	"repro/internal/tile"
+	"repro/internal/tilestore"
 )
 
 // randCosts builds a deterministic random S×S cost matrix.
@@ -34,15 +34,15 @@ func sceneCosts(t testing.TB, n, tiles int) *metric.Matrix {
 // with tiles tiles per side.
 func scenePairCosts(t testing.TB, input, target synth.Scene, n, tiles int) *metric.Matrix {
 	t.Helper()
-	in, err := tile.NewGridByCount(synth.MustGenerate(input, n), tiles)
+	in, err := tilestore.FromImage(synth.MustGenerate(input, n), n/tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, err := tile.NewGridByCount(synth.MustGenerate(target, n), tiles)
+	tg, err := tilestore.FromImage(synth.MustGenerate(target, n), n/tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := metric.BuildSerial(in, tg, metric.L1)
+	m, err := metric.BuildStoreBlocked(in, tg, metric.L1)
 	if err != nil {
 		t.Fatal(err)
 	}

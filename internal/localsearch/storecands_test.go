@@ -92,7 +92,7 @@ func TestStoreCandidatesAreThumbNearest(t *testing.T) {
 // matrix, and invalid lists are rejected up front.
 func TestCandidateListsWarmReachesPlateau(t *testing.T) {
 	in, tgt := sceneStores(t, 128, 16)
-	m, err := metric.BuildStoreSerial(in, tgt, metric.L1)
+	m, err := metric.BuildStoreBlocked(in, tgt, metric.L1)
 	if err != nil {
 		t.Fatal(err)
 	}

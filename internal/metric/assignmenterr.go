@@ -7,6 +7,18 @@ import (
 	"repro/internal/tile"
 )
 
+// checkGrids validates that the input and target grids are comparable.
+func checkGrids(in, tgt *tile.Grid) error {
+	if in.M != tgt.M || in.Cols != tgt.Cols || in.Rows != tgt.Rows {
+		return fmt.Errorf("metric: input %dx%d tiles of %d vs target %dx%d tiles of %d: %w",
+			in.Cols, in.Rows, in.M, tgt.Cols, tgt.Rows, tgt.M, ErrMismatch)
+	}
+	if in.M > MaxTileSide {
+		return fmt.Errorf("metric: tile side %d exceeds %d (Cost overflow): %w", in.M, MaxTileSide, ErrMismatch)
+	}
+	return nil
+}
+
 // AssignmentError evaluates Eq. (2) exactly for an assignment, directly from
 // the tile pixels in O(S·M²) — one matrix row's worth of work. Used when
 // Step 3 ran on an approximate (proxy) matrix and the reported error must

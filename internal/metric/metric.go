@@ -11,13 +11,10 @@
 package metric
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
-	"repro/internal/cuda"
 	"repro/internal/perm"
-	"repro/internal/tile"
 )
 
 // ErrMismatch reports grids whose geometry prevents comparing tiles.
@@ -57,6 +54,10 @@ type Cost = int32
 // under either metric.
 const MaxTileSide = 181
 
+// MaxTileSideRGB bounds M for colour tiles: the worst-case L2 tile error is
+// 3·M²·255², which must fit in Cost.
+const MaxTileSideRGB = 104
+
 // TileError computes Eq. (1) between two flattened tiles of equal length.
 // Tiles of at least swarMinBytes pixels take the SWAR word-at-a-time path
 // (see swar.go); the result is bit-identical to TileErrorScalar on every
@@ -75,8 +76,8 @@ func TileError(a, b []uint8, m Metric) Cost {
 }
 
 // TileErrorScalar is the byte-at-a-time transcription of Eq. (1) — the
-// reference oracle the vectorized kernels are differentially tested against,
-// and the builder backing BuilderScalar's before/after ablation column.
+// reference oracle the vectorized kernels and the matrix builders are
+// differentially tested against.
 func TileErrorScalar(a, b []uint8, m Metric) Cost {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("metric: TileErrorScalar on %d vs %d pixels", len(a), len(b)))
@@ -153,69 +154,7 @@ func (m *Matrix) Equal(o *Matrix) bool {
 	return true
 }
 
-// checkGrids validates that the input and target grids are comparable.
-func checkGrids(in, tgt *tile.Grid) error {
-	if in.M != tgt.M || in.Cols != tgt.Cols || in.Rows != tgt.Rows {
-		return fmt.Errorf("metric: input %dx%d tiles of %d vs target %dx%d tiles of %d: %w",
-			in.Cols, in.Rows, in.M, tgt.Cols, tgt.Rows, tgt.M, ErrMismatch)
-	}
-	if in.M > MaxTileSide {
-		return fmt.Errorf("metric: tile side %d exceeds %d (Cost overflow): %w", in.M, MaxTileSide, ErrMismatch)
-	}
-	return nil
-}
-
-// BuildSerial computes the full cost matrix on a single core — the paper's
-// CPU reference for Table II. Tiles are flattened first so the S² inner
-// loops stream contiguous memory; the inner loop is the SWAR TileError.
-func BuildSerial(in, tgt *tile.Grid, m Metric) (*Matrix, error) {
-	if err := checkGrids(in, tgt); err != nil {
-		return nil, err
-	}
-	if !m.Valid() {
-		return nil, fmt.Errorf("metric: invalid metric %v", m)
-	}
-	s := in.S()
-	m2 := in.M * in.M
-	fin := in.Flatten()
-	ftgt := tgt.Flatten()
-	out := NewMatrix(s)
-	for u := 0; u < s; u++ {
-		tu := fin[u*m2 : (u+1)*m2]
-		row := out.Row(u)
-		for v := 0; v < s; v++ {
-			row[v] = TileError(tu, ftgt[v*m2:(v+1)*m2], m)
-		}
-	}
-	return out, nil
-}
-
-// BuildSerialScalar is BuildSerial with the scalar reference kernel — the
-// "before" column of the vectorization ablation and the oracle the builder
-// equivalence tests compare everything against.
-func BuildSerialScalar(in, tgt *tile.Grid, m Metric) (*Matrix, error) {
-	if err := checkGrids(in, tgt); err != nil {
-		return nil, err
-	}
-	if !m.Valid() {
-		return nil, fmt.Errorf("metric: invalid metric %v", m)
-	}
-	s := in.S()
-	m2 := in.M * in.M
-	fin := in.Flatten()
-	ftgt := tgt.Flatten()
-	out := NewMatrix(s)
-	for u := 0; u < s; u++ {
-		tu := fin[u*m2 : (u+1)*m2]
-		row := out.Row(u)
-		for v := 0; v < s; v++ {
-			row[v] = TileErrorScalar(tu, ftgt[v*m2:(v+1)*m2], m)
-		}
-	}
-	return out, nil
-}
-
-// Cache-blocking budgets for BuildBlocked. The target-tile panel is sized to
+// Cache-blocking budgets for BuildStoreBlocked. The target-tile panel is sized to
 // stay resident in L2 while every input row of the block streams over it;
 // the input panel keeps a handful of tiles hot in L1. Both are byte budgets
 // divided by the tile size at run time, so small tiles get wide panels and
@@ -238,250 +177,16 @@ func blockSpan(budget, m2, s int) int {
 	return b
 }
 
-// BuildBlocked computes the matrix with a cache-blocked loop nest: the S×S
-// pair space is tiled into (input panel) × (target panel) blocks so each
-// target panel is loaded from memory once per input panel instead of once
-// per input row. The arithmetic is identical to BuildSerial's — every entry
-// is one TileError call — so the result is bit-identical; only the visit
-// order changes. This is the fastest single-core builder on matrices too
-// large for the target grid to stay cached (S·M² beyond ~L2).
-func BuildBlocked(in, tgt *tile.Grid, m Metric) (*Matrix, error) {
-	if err := checkGrids(in, tgt); err != nil {
-		return nil, err
-	}
-	if !m.Valid() {
-		return nil, fmt.Errorf("metric: invalid metric %v", m)
-	}
-	s := in.S()
-	m2 := in.M * in.M
-	fin := in.Flatten()
-	ftgt := tgt.Flatten()
-	out := NewMatrix(s)
-	bv := blockSpan(blockedTargetBytes, m2, s)
-	bu := blockSpan(blockedInputBytes, m2, s)
-	for v0 := 0; v0 < s; v0 += bv {
-		v1 := v0 + bv
-		if v1 > s {
-			v1 = s
-		}
-		for u0 := 0; u0 < s; u0 += bu {
-			u1 := u0 + bu
-			if u1 > s {
-				u1 = s
-			}
-			for u := u0; u < u1; u++ {
-				tu := fin[u*m2 : (u+1)*m2]
-				row := out.Row(u)
-				for v := v0; v < v1; v++ {
-					row[v] = TileError(tu, ftgt[v*m2:(v+1)*m2], m)
-				}
-			}
-		}
-	}
-	return out, nil
-}
+// KernelCostMatrix is the name BuildStoreDevice's §V kernel launches under,
+// exported so fault plans (cuda.FaultPlan.Kernel) can target Step 2.
+const KernelCostMatrix = "cost-matrix"
 
-// Kernel names under which the device builders launch, exported so fault
-// plans (cuda.FaultPlan.Kernel) can target Step 2 specifically.
-const (
-	// KernelCostMatrix is BuildDevice's §V kernel.
-	KernelCostMatrix = "cost-matrix"
-	// KernelCostMatrixRows is BuildRowsParallel's row-parallel baseline.
-	KernelCostMatrixRows = "cost-matrix-rows"
-)
-
-// deviceKernelSetup validates the grids and returns the launch geometry and
-// the kernel closure shared by BuildDevice and BuildDeviceContext. The
-// kernel fully overwrites out, so re-launching after a failed (injected)
-// attempt is idempotent — the property the retry layer relies on.
-func deviceKernelSetup(in, tgt *tile.Grid, m Metric) (out *Matrix, s, threads int, kernel func(b *cuda.Block), err error) {
-	if err := checkGrids(in, tgt); err != nil {
-		return nil, 0, 0, nil, err
-	}
-	if !m.Valid() {
-		return nil, 0, 0, nil, fmt.Errorf("metric: invalid metric %v", m)
-	}
-	s = in.S()
-	m2 := in.M * in.M
-	fin := in.Flatten()   // global memory: input tiles
-	ftgt := tgt.Flatten() // global memory: target tiles
-	out = NewMatrix(s)
-
-	// Threads per block: one thread per target tile row of work, capped at a
-	// CUDA-typical 256. With the block's threads serialised on one worker
-	// the count only shapes the stride loops, but keeping the canonical
-	// configuration keeps the kernel a faithful port.
-	threads = 256
-	if threads > s {
-		threads = s
-	}
-	kernel = func(b *cuda.Block) {
-		u := b.Idx
-		// Stage I_u in shared memory (the paper's first kernel phase). The
-		// copy is cooperative: each thread moves a strided subset.
-		sh := b.Shared(m2)
-		src := fin[u*m2 : (u+1)*m2]
-		b.StrideLoop(m2, func(i int) { sh[i] = src[i] })
-		// __syncthreads() boundary: StrideLoop returning is the barrier.
-		row := out.Row(u)
-		b.StrideLoop(s, func(v int) {
-			row[v] = TileError(sh, ftgt[v*m2:(v+1)*m2], m)
-		})
-	}
-	return out, s, threads, kernel, nil
-}
-
-// BuildDevice computes the cost matrix with the paper's GPU decomposition
-// (§V): S blocks are launched; block u copies input tile I_u into shared
-// memory, then its threads cooperatively produce E(I_u, T_v) for all v via a
-// thread-stride loop over target tiles. One kernel launch, synchronous.
-func BuildDevice(dev *cuda.Device, in, tgt *tile.Grid, m Metric) (*Matrix, error) {
-	out, s, threads, kernel, err := deviceKernelSetup(in, tgt, m)
-	if err != nil {
-		return nil, err
-	}
-	dev.Launch(s, threads, kernel)
-	return out, nil
-}
-
-// BuildDeviceContext is BuildDevice through the fault-aware launch path:
-// injected or real device faults return as typed errors
-// (cuda.ErrLaunchFailed etc.) instead of running the kernel, and the launch
-// is skipped when ctx is already dead. A healthy launch is bit-identical to
-// BuildDevice.
-func BuildDeviceContext(ctx context.Context, dev *cuda.Device, in, tgt *tile.Grid, m Metric) (*Matrix, error) {
-	out, s, threads, kernel, err := deviceKernelSetup(in, tgt, m)
-	if err != nil {
-		return nil, err
-	}
-	if err := dev.LaunchErr(ctx, KernelCostMatrix, s, threads, kernel); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BuildRowsParallel computes the matrix with plain row-level multicore
-// parallelism (no CUDA structure) — the "what a CPU programmer would write"
-// baseline used by the ablation benches to isolate the cost of the
-// kernel-shaped decomposition.
-func BuildRowsParallel(dev *cuda.Device, in, tgt *tile.Grid, m Metric) (*Matrix, error) {
-	out, _, _, _, body, err := rowsSetup(in, tgt, m)
-	if err != nil {
-		return nil, err
-	}
-	dev.LaunchRange(out.S, body)
-	return out, nil
-}
-
-// rowsSetup shares the validation and row body between BuildRowsParallel and
-// BuildRowsParallelContext. Like the device kernel, the body overwrites
-// whole rows, so replaying a failed launch is idempotent.
-func rowsSetup(in, tgt *tile.Grid, m Metric) (out *Matrix, fin, ftgt []uint8, m2 int, body func(u int), err error) {
-	if err := checkGrids(in, tgt); err != nil {
-		return nil, nil, nil, 0, nil, err
-	}
-	if !m.Valid() {
-		return nil, nil, nil, 0, nil, fmt.Errorf("metric: invalid metric %v", m)
-	}
-	s := in.S()
-	m2 = in.M * in.M
-	fin = in.Flatten()
-	ftgt = tgt.Flatten()
-	out = NewMatrix(s)
-	body = func(u int) {
-		tu := fin[u*m2 : (u+1)*m2]
-		row := out.Row(u)
-		for v := 0; v < s; v++ {
-			row[v] = TileError(tu, ftgt[v*m2:(v+1)*m2], m)
-		}
-	}
-	return out, fin, ftgt, m2, body, nil
-}
-
-// BuildRowsParallelContext is BuildRowsParallel through the fault-aware
-// execute path, mirroring BuildDeviceContext.
-func BuildRowsParallelContext(ctx context.Context, dev *cuda.Device, in, tgt *tile.Grid, m Metric) (*Matrix, error) {
-	out, _, _, _, body, err := rowsSetup(in, tgt, m)
-	if err != nil {
-		return nil, err
-	}
-	if err := dev.ExecuteErr(ctx, KernelCostMatrixRows, out.S, body); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Builder names a Step-2 matrix construction strategy. All builders produce
-// bit-identical matrices (enforced by TestBuildersEquivalent); they differ
-// only in loop order and parallel decomposition.
+// Builder is the Step-2 strategy argument of BuildStore. BuilderAuto is its
+// only value: the execution target follows from whether a device is
+// supplied — the §V kernel (BuildStoreDevice) on a device, the cache-blocked
+// host loop (BuildStoreBlocked) without one.
 type Builder string
 
-// The selectable builders.
-const (
-	// BuilderAuto picks BuilderDevice when a device is supplied and
-	// BuilderBlocked otherwise.
-	BuilderAuto Builder = ""
-	// BuilderSerial is the paper's single-core reference loop.
-	BuilderSerial Builder = "serial"
-	// BuilderScalar is BuilderSerial with the byte-at-a-time oracle kernel —
-	// the pre-vectorization "before" for ablation benches.
-	BuilderScalar Builder = "scalar"
-	// BuilderBlocked is the cache-blocked single-core loop nest.
-	BuilderBlocked Builder = "blocked"
-	// BuilderDevice is the paper's §V kernel decomposition on the virtual
-	// accelerator.
-	BuilderDevice Builder = "device"
-	// BuilderRows is plain row-level multicore parallelism on the device's
-	// worker pool, without the kernel shape.
-	BuilderRows Builder = "rows-parallel"
-)
-
-// Builders lists the named builders in stable order (BuilderAuto excluded).
-func Builders() []Builder {
-	return []Builder{BuilderSerial, BuilderScalar, BuilderBlocked, BuilderDevice, BuilderRows}
-}
-
-// ParseBuilder resolves a name; the empty string is BuilderAuto.
-func ParseBuilder(name string) (Builder, error) {
-	if name == "" || name == "auto" {
-		return BuilderAuto, nil
-	}
-	for _, b := range Builders() {
-		if string(b) == name {
-			return b, nil
-		}
-	}
-	return "", fmt.Errorf("metric: unknown builder %q", name)
-}
-
-// NeedsDevice reports whether the builder runs on the device worker pool.
-func (b Builder) NeedsDevice() bool { return b == BuilderDevice || b == BuilderRows }
-
-// Build dispatches to the named builder. BuilderAuto resolves to
-// BuilderDevice when dev is non-nil and BuilderBlocked otherwise; the
-// device-backed builders require dev.
-func Build(dev *cuda.Device, in, tgt *tile.Grid, m Metric, b Builder) (*Matrix, error) {
-	if b == BuilderAuto {
-		if dev != nil {
-			b = BuilderDevice
-		} else {
-			b = BuilderBlocked
-		}
-	}
-	if b.NeedsDevice() && dev == nil {
-		return nil, fmt.Errorf("metric: builder %q requires a device", b)
-	}
-	switch b {
-	case BuilderSerial:
-		return BuildSerial(in, tgt, m)
-	case BuilderScalar:
-		return BuildSerialScalar(in, tgt, m)
-	case BuilderBlocked:
-		return BuildBlocked(in, tgt, m)
-	case BuilderDevice:
-		return BuildDevice(dev, in, tgt, m)
-	case BuilderRows:
-		return BuildRowsParallel(dev, in, tgt, m)
-	}
-	return nil, fmt.Errorf("metric: unknown builder %q", b)
-}
+// BuilderAuto picks the device kernel when a device is supplied and the
+// host loop otherwise.
+const BuilderAuto Builder = ""

@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/synth"
 	"repro/internal/tile"
+	"repro/internal/tilestore"
 )
 
 func grids(t testing.TB, n, m int) (*tile.Grid, *tile.Grid) {
@@ -77,8 +79,10 @@ func randTile(seed uint64, n int) []uint8 {
 }
 
 func TestBuildSerialMatchesDirectComputation(t *testing.T) {
+	// The host builder is the paper's serial CPU computation of Step 2.
 	in, tg := grids(t, 32, 8)
-	m, err := BuildSerial(in, tg, L1)
+	inS, tgS := storesOf(in, tg)
+	m, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,29 +102,34 @@ func TestBuildSerialMatchesDirectComputation(t *testing.T) {
 }
 
 func TestBuildersAgree(t *testing.T) {
-	// Serial, device-kernel and rows-parallel builders must produce the
-	// identical matrix, for both metrics and several worker counts.
+	// The host loop and the device kernel (both launch paths) must produce
+	// the oracle's matrix, for both metrics and several worker counts.
 	in, tg := grids(t, 64, 8)
+	inS, tgS := storesOf(in, tg)
 	for _, met := range []Metric{L1, L2} {
-		want, err := BuildSerial(in, tg, met)
+		want := oracleMatrix(in, tg, met)
+		got, err := BuildStoreBlocked(inS, tgS, met)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !got.Equal(want) {
+			t.Errorf("BuildStoreBlocked(%v) differs from the oracle", met)
+		}
 		for _, workers := range []int{1, 3, 8} {
 			dev := cuda.New(workers)
-			got, err := BuildDevice(dev, in, tg, met)
+			got, err := BuildStoreDevice(dev, inS, tgS, met)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Errorf("BuildDevice(workers=%d, %v) differs from serial", workers, met)
+				t.Errorf("BuildStoreDevice(workers=%d, %v) differs from the oracle", workers, met)
 			}
-			got, err = BuildRowsParallel(dev, in, tg, met)
+			got, err = BuildStoreDeviceContext(context.Background(), dev, inS, tgS, met)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Errorf("BuildRowsParallel(workers=%d, %v) differs from serial", workers, met)
+				t.Errorf("BuildStoreDeviceContext(workers=%d, %v) differs from the oracle", workers, met)
 			}
 		}
 	}
@@ -129,36 +138,46 @@ func TestBuildersAgree(t *testing.T) {
 func TestBuildRejectsMismatchedGrids(t *testing.T) {
 	in, _ := grids(t, 32, 8)
 	_, tg := grids(t, 32, 4)
-	if _, err := BuildSerial(in, tg, L1); err == nil {
+	inS, tgS := storesOf(in, tg)
+	if _, err := BuildStoreBlocked(inS, tgS, L1); err == nil {
 		t.Error("accepted mismatched tile sizes")
 	}
-	if _, err := BuildDevice(cuda.New(1), in, tg, L1); err == nil {
+	if _, err := BuildStoreDevice(cuda.New(1), inS, tgS, L1); err == nil {
 		t.Error("device builder accepted mismatched tile sizes")
+	}
+	rgb, err := tilestore.FromRGB(imgutil.RGBFromGray(in.Img), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildStoreBlocked(inS, rgb, L1); err == nil {
+		t.Error("accepted a grayscale store against a colour store")
 	}
 }
 
 func TestBuildRejectsInvalidMetric(t *testing.T) {
-	in, tg := grids(t, 32, 8)
-	if _, err := BuildSerial(in, tg, Metric(9)); err == nil {
+	inS, tgS := storesOf(grids(t, 32, 8))
+	if _, err := BuildStoreBlocked(inS, tgS, Metric(9)); err == nil {
 		t.Error("accepted invalid metric")
+	}
+	if _, err := BuildStoreDevice(cuda.New(1), inS, tgS, Metric(9)); err == nil {
+		t.Error("device builder accepted invalid metric")
 	}
 }
 
 func TestBuildRejectsOversizedTiles(t *testing.T) {
 	big := imgutil.NewGray(364, 364)
-	in, err := tile.NewGrid(big, 182) // > MaxTileSide
+	in, err := tilestore.FromImage(big, 182) // > MaxTileSide
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, _ := tile.NewGrid(big.Clone(), 182)
-	if _, err := BuildSerial(in, tg, L1); err == nil {
+	if _, err := BuildStoreBlocked(in, in, L1); err == nil {
 		t.Error("accepted tile side beyond overflow bound")
 	}
 }
 
 func TestMatrixTotalIdentityVsPermuted(t *testing.T) {
-	in, tg := grids(t, 32, 8)
-	m, err := BuildSerial(in, tg, L1)
+	inS, tgS := storesOf(grids(t, 32, 8))
+	m, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +196,8 @@ func TestTotalEqualsImageLevelError(t *testing.T) {
 	// assembled mosaic versus the target — the invariant connecting the
 	// cost matrix to what the viewer sees.
 	in, tg := grids(t, 64, 8)
-	m, err := BuildSerial(in, tg, L1)
+	inS, tgS := storesOf(in, tg)
+	m, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +222,8 @@ func TestIdenticalImagesGiveZeroDiagonal(t *testing.T) {
 	img := synth.MustGenerate(synth.Plasma, 32)
 	in, _ := tile.NewGrid(img, 8)
 	tg, _ := tile.NewGrid(img.Clone(), 8)
-	m, err := BuildSerial(in, tg, L1)
+	inS, tgS := storesOf(in, tg)
+	m, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,26 +260,12 @@ func TestMatrixAccessors(t *testing.T) {
 	}
 }
 
-func benchBuild(b *testing.B, n, m int, build func(in, tg *tile.Grid) (*Matrix, error)) {
-	in, tg := grids(b, n, m)
+func BenchmarkBuildStoreBlocked512S1024(b *testing.B) {
+	inS, tgS := storesOf(grids(b, 512, 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := build(in, tg); err != nil {
+		if _, err := BuildStoreBlocked(inS, tgS, L1); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkBuildSerial512S1024(b *testing.B) {
-	benchBuild(b, 512, 16, func(in, tg *tile.Grid) (*Matrix, error) { return BuildSerial(in, tg, L1) })
-}
-
-func BenchmarkBuildDevice512S1024(b *testing.B) {
-	dev := cuda.New(0)
-	benchBuild(b, 512, 16, func(in, tg *tile.Grid) (*Matrix, error) { return BuildDevice(dev, in, tg, L1) })
-}
-
-func BenchmarkBuildRowsParallel512S1024(b *testing.B) {
-	dev := cuda.New(0)
-	benchBuild(b, 512, 16, func(in, tg *tile.Grid) (*Matrix, error) { return BuildRowsParallel(dev, in, tg, L1) })
 }

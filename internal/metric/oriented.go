@@ -3,10 +3,8 @@ package metric
 import (
 	"fmt"
 
-	"repro/internal/cuda"
 	"repro/internal/imgutil"
 	"repro/internal/perm"
-	"repro/internal/tile"
 )
 
 // OrientedMatrix extends the cost matrix with, per (input tile, target
@@ -56,93 +54,6 @@ func orientedTileError(a, b []uint8, m int, o imgutil.Orientation, met Metric) C
 		}
 	}
 	return Cost(sum)
-}
-
-// BuildOriented computes the oriented cost matrix serially: for each pair it
-// evaluates all eight orientations and keeps the best. Roughly 8× the work
-// of BuildSerial.
-func BuildOriented(in, tgt *tile.Grid, met Metric) (*OrientedMatrix, error) {
-	if err := checkGrids(in, tgt); err != nil {
-		return nil, err
-	}
-	if !met.Valid() {
-		return nil, fmt.Errorf("metric: invalid metric %v", met)
-	}
-	s := in.S()
-	m := in.M
-	m2 := m * m
-	fin := in.Flatten()
-	ftgt := tgt.Flatten()
-	out := &OrientedMatrix{
-		Matrix: *NewMatrix(s),
-		Orient: make([]imgutil.Orientation, s*s),
-	}
-	for u := 0; u < s; u++ {
-		tu := fin[u*m2 : (u+1)*m2]
-		row := out.Row(u)
-		orow := out.Orient[u*s : (u+1)*s]
-		for v := 0; v < s; v++ {
-			tv := ftgt[v*m2 : (v+1)*m2]
-			best := TileError(tu, tv, met)
-			bestO := imgutil.Upright
-			for o := imgutil.Orientation(1); o < imgutil.NumOrientations; o++ {
-				if c := orientedTileError(tu, tv, m, o, met); c < best {
-					best = c
-					bestO = o
-				}
-			}
-			row[v] = best
-			orow[v] = bestO
-		}
-	}
-	return out, nil
-}
-
-// BuildOrientedDevice is BuildOriented with the paper's Step-2 kernel shape:
-// S blocks, block u staging tile I_u in shared memory and producing row u
-// (all eight orientations scored from the staged copy).
-func BuildOrientedDevice(dev *cuda.Device, in, tgt *tile.Grid, met Metric) (*OrientedMatrix, error) {
-	if err := checkGrids(in, tgt); err != nil {
-		return nil, err
-	}
-	if !met.Valid() {
-		return nil, fmt.Errorf("metric: invalid metric %v", met)
-	}
-	s := in.S()
-	m := in.M
-	m2 := m * m
-	fin := in.Flatten()
-	ftgt := tgt.Flatten()
-	out := &OrientedMatrix{
-		Matrix: *NewMatrix(s),
-		Orient: make([]imgutil.Orientation, s*s),
-	}
-	threads := 256
-	if threads > s {
-		threads = s
-	}
-	dev.Launch(s, threads, func(b *cuda.Block) {
-		u := b.Idx
-		sh := b.Shared(m2)
-		src := fin[u*m2 : (u+1)*m2]
-		b.StrideLoop(m2, func(i int) { sh[i] = src[i] })
-		row := out.Row(u)
-		orow := out.Orient[u*s : (u+1)*s]
-		b.StrideLoop(s, func(v int) {
-			tv := ftgt[v*m2 : (v+1)*m2]
-			best := TileError(sh, tv, met)
-			bestO := imgutil.Upright
-			for o := imgutil.Orientation(1); o < imgutil.NumOrientations; o++ {
-				if c := orientedTileError(sh, tv, m, o, met); c < best {
-					best = c
-					bestO = o
-				}
-			}
-			row[v] = best
-			orow[v] = bestO
-		})
-	})
-	return out, nil
 }
 
 // Orientations extracts, for an assignment p, the per-position orientation

@@ -11,12 +11,12 @@ import (
 )
 
 func TestOrientedNeverWorseThanUpright(t *testing.T) {
-	in, tg := grids(t, 64, 8)
-	plain, err := BuildSerial(in, tg, L1)
+	inS, tgS := storesOf(grids(t, 64, 8))
+	plain, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oriented, err := BuildOriented(in, tg, L1)
+	oriented, err := BuildOrientedStore(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,8 @@ func TestOrientedCostMatchesMaterialisedTile(t *testing.T) {
 	// The recorded best cost must equal TileError of the actually-oriented
 	// tile — the kernel's index arithmetic against the reference transform.
 	in, tg := grids(t, 32, 8)
-	oriented, err := BuildOriented(in, tg, L1)
+	inS, tgS := storesOf(in, tg)
+	oriented, err := BuildOrientedStore(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,34 +62,31 @@ func TestOrientedCostMatchesMaterialisedTile(t *testing.T) {
 
 func TestOrientedSerialAndDeviceAgree(t *testing.T) {
 	in, tg := grids(t, 32, 8)
-	want, err := BuildOriented(in, tg, L1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		got, err := BuildOrientedDevice(cuda.New(workers), in, tg, L1)
+	inS, tgS := storesOf(in, tg)
+	for _, met := range []Metric{L1, L2} {
+		want := oracleOriented(in, tg, met)
+		got, err := BuildOrientedStore(inS, tgS, met)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Matrix.Equal(&want.Matrix) {
-			t.Errorf("workers=%d: cost matrices differ", workers)
-		}
-		for i, o := range got.Orient {
-			if o != want.Orient[i] {
-				t.Errorf("workers=%d: orientation %d differs", workers, i)
-				break
+		checkOrientedEqual(t, got, want)
+		for _, workers := range []int{1, 4} {
+			got, err := BuildOrientedStoreDevice(cuda.New(workers), inS, tgS, met)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkOrientedEqual(t, got, want)
 		}
 	}
 }
 
 func TestOrientedL2(t *testing.T) {
-	in, tg := grids(t, 32, 8)
-	oriented, err := BuildOriented(in, tg, L2)
+	inS, tgS := storesOf(grids(t, 32, 8))
+	oriented, err := BuildOrientedStore(inS, tgS, L2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := BuildSerial(in, tg, L2)
+	plain, err := BuildStoreBlocked(inS, tgS, L2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +98,8 @@ func TestOrientedL2(t *testing.T) {
 }
 
 func TestOrientationsVector(t *testing.T) {
-	in, tg := grids(t, 32, 8)
-	oriented, err := BuildOriented(in, tg, L1)
+	inS, tgS := storesOf(grids(t, 32, 8))
+	oriented, err := BuildOrientedStore(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +124,14 @@ func TestOrientationsVector(t *testing.T) {
 func TestOrientedValidation(t *testing.T) {
 	in, _ := grids(t, 32, 8)
 	_, tgBad := grids(t, 32, 4)
-	if _, err := BuildOriented(in, tgBad, L1); err == nil {
-		t.Error("accepted mismatched grids")
+	inS, tgBadS := storesOf(in, tgBad)
+	if _, err := BuildOrientedStore(inS, tgBadS, L1); err == nil {
+		t.Error("accepted mismatched stores")
 	}
-	_, tg := grids(t, 32, 8)
-	if _, err := BuildOriented(in, tg, Metric(9)); err == nil {
+	if _, err := BuildOrientedStoreDevice(cuda.New(1), inS, tgBadS, L1); err == nil {
+		t.Error("device builder accepted mismatched stores")
+	}
+	if _, err := BuildOrientedStore(inS, inS, Metric(9)); err == nil {
 		t.Error("accepted invalid metric")
 	}
 }
@@ -145,7 +146,8 @@ func TestOrientedOnSymmetricTilesPrefersUpright(t *testing.T) {
 	tgt.Fill(90)
 	in, _ := tile.NewGrid(img, 4)
 	tg, _ := tile.NewGrid(tgt, 4)
-	oriented, err := BuildOriented(in, tg, L1)
+	inS, tgS := storesOf(in, tg)
+	oriented, err := BuildOrientedStore(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +167,10 @@ func BenchmarkBuildOriented256(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	inS, tgS := storesOf(in, tg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildOriented(in, tg, L1); err != nil {
+		if _, err := BuildOrientedStore(inS, tgS, L1); err != nil {
 			b.Fatal(err)
 		}
 	}

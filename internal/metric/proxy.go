@@ -3,7 +3,7 @@ package metric
 import (
 	"fmt"
 
-	"repro/internal/tile"
+	"repro/internal/tilestore"
 )
 
 // BuildProxy computes an approximate cost matrix from d×d box-downsampled
@@ -15,17 +15,15 @@ import (
 // part of the paper's method, and the ablation bench quantifies what the
 // shortcut costs in mosaic quality. Proxy costs are scaled by (M/d)² so
 // totals are comparable to the exact matrix's magnitude. d must divide M.
-func BuildProxy(in, tgt *tile.Grid, met Metric, d int) (*Matrix, error) {
-	if err := checkGrids(in, tgt); err != nil {
+// Grayscale stores only.
+func BuildProxy(in, tgt *tilestore.Store, met Metric, d int) (*Matrix, error) {
+	s, err := checkGrayStores(in, tgt, met)
+	if err != nil {
 		return nil, err
-	}
-	if !met.Valid() {
-		return nil, fmt.Errorf("metric: invalid metric %v", met)
 	}
 	if d <= 0 || d > in.M || in.M%d != 0 {
 		return nil, fmt.Errorf("metric: proxy resolution %d must divide tile side %d: %w", d, in.M, ErrMismatch)
 	}
-	s := in.S()
 	din := descriptors(in, d)
 	dtgt := descriptors(tgt, d)
 	// Box means preserve intensity scale, so per-sample errors are scaled by
@@ -62,21 +60,23 @@ func BuildProxy(in, tgt *tile.Grid, met Metric, d int) (*Matrix, error) {
 	return out, nil
 }
 
-// descriptors box-downsamples every tile of g to d×d, returning all
+// descriptors box-downsamples every tile of st to d×d, returning all
 // descriptors concatenated (tile i at [i·d², (i+1)·d²)).
-func descriptors(g *tile.Grid, d int) []uint8 {
-	s := g.S()
-	k := g.M / d // box side
+func descriptors(st *tilestore.Store, d int) []uint8 {
+	s := st.S()
+	m := st.M
+	k := m / d // box side
 	area := k * k
 	d2 := d * d
 	out := make([]uint8, s*d2)
 	for i := 0; i < s; i++ {
 		desc := out[i*d2 : (i+1)*d2]
+		t := st.Tile(i)
 		for by := 0; by < d; by++ {
 			for bx := 0; bx < d; bx++ {
 				var sum int
 				for y := by * k; y < (by+1)*k; y++ {
-					row := g.Row(i, y)
+					row := t[y*m : (y+1)*m]
 					for x := bx * k; x < (bx+1)*k; x++ {
 						sum += int(row[x])
 					}

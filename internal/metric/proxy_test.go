@@ -11,27 +11,42 @@ import (
 func TestProxyFullResolutionIsExact(t *testing.T) {
 	// d = M means no downsampling: the proxy must equal the exact matrix.
 	in, tg := grids(t, 32, 8)
-	exact, err := BuildSerial(in, tg, L1)
-	if err != nil {
-		t.Fatal(err)
+	inS, tgS := storesOf(in, tg)
+	for _, met := range []Metric{L1, L2} {
+		proxy, err := BuildProxy(inS, tgS, met, in.M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !proxy.Equal(oracleMatrix(in, tg, met)) {
+			t.Errorf("%v: full-resolution proxy differs from the exact matrix", met)
+		}
 	}
-	proxy, err := BuildProxy(in, tg, L1, in.M)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !proxy.Equal(exact) {
-		t.Error("full-resolution proxy differs from the exact matrix")
+}
+
+func TestProxyMatchesOracle(t *testing.T) {
+	in, tg := grids(t, 64, 8)
+	inS, tgS := storesOf(in, tg)
+	for _, met := range []Metric{L1, L2} {
+		for _, d := range []int{1, 2, 4} {
+			proxy, err := BuildProxy(inS, tgS, met, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !proxy.Equal(oracleProxy(in, tg, met, d)) {
+				t.Errorf("%v d=%d: proxy matrix differs from the oracle", met, d)
+			}
+		}
 	}
 }
 
 func TestProxyValidation(t *testing.T) {
-	in, tg := grids(t, 32, 8)
+	inS, tgS := storesOf(grids(t, 32, 8))
 	for _, d := range []int{0, -1, 3, 16} { // 3 does not divide 8; 16 > 8
-		if _, err := BuildProxy(in, tg, L1, d); err == nil {
+		if _, err := BuildProxy(inS, tgS, L1, d); err == nil {
 			t.Errorf("accepted proxy resolution %d for tile side 8", d)
 		}
 	}
-	if _, err := BuildProxy(in, tg, Metric(9), 4); err == nil {
+	if _, err := BuildProxy(inS, tgS, Metric(9), 4); err == nil {
 		t.Error("accepted invalid metric")
 	}
 }
@@ -60,14 +75,13 @@ func TestProxyOnConstantTilesIsExact(t *testing.T) {
 		}
 		return g
 	}
-	in := mk(5)
-	tg := mk(9)
-	exact, err := BuildSerial(in, tg, L1)
+	inS, tgS := storesOf(mk(5), mk(9))
+	exact, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []int{1, 2, 4} {
-		proxy, err := BuildProxy(in, tg, L1, d)
+		proxy, err := BuildProxy(inS, tgS, L1, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,12 +94,12 @@ func TestProxyOnConstantTilesIsExact(t *testing.T) {
 func TestProxyRankingCorrelatesWithExact(t *testing.T) {
 	// The proxy's purpose is preserving the cost ordering. Over random pair
 	// comparisons, proxy and exact must agree far above chance.
-	in, tg := grids(t, 64, 8)
-	exact, err := BuildSerial(in, tg, L1)
+	inS, tgS := storesOf(grids(t, 64, 8))
+	exact, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy, err := BuildProxy(in, tg, L1, 4)
+	proxy, err := BuildProxy(inS, tgS, L1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +134,12 @@ func TestProxyQualityGapIsBounded(t *testing.T) {
 	// Solving Step 3 on the proxy and evaluating on the exact matrix must
 	// stay within a modest factor of solving on the exact matrix directly —
 	// the ablation claim from DESIGN.md.
-	in, tg := grids(t, 64, 8)
-	exact, err := BuildSerial(in, tg, L1)
+	inS, tgS := storesOf(grids(t, 64, 8))
+	exact, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy, err := BuildProxy(in, tg, L1, 4)
+	proxy, err := BuildProxy(inS, tgS, L1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +180,10 @@ func greedyLocal(m *Matrix) perm.Perm {
 }
 
 func BenchmarkBuildProxyD4S1024(b *testing.B) {
-	in, tg := grids(b, 512, 16)
+	inS, tgS := storesOf(grids(b, 512, 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildProxy(in, tg, L1, 4); err != nil {
+		if _, err := BuildProxy(inS, tgS, L1, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

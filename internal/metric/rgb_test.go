@@ -8,6 +8,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/synth"
 	"repro/internal/tile"
+	"repro/internal/tilestore"
 )
 
 func rgbGrids(t testing.TB, n, m int) (*tile.RGBGrid, *tile.RGBGrid) {
@@ -33,18 +34,23 @@ func rgbGrids(t testing.TB, n, m int) (*tile.RGBGrid, *tile.RGBGrid) {
 
 func TestRGBBuildersAgree(t *testing.T) {
 	in, tg := rgbGrids(t, 32, 8)
+	inS, tgS := rgbStoresOf(t, in, tg)
 	for _, met := range []Metric{L1, L2} {
-		want, err := BuildSerialRGB(in, tg, met)
+		want := oracleRGBMatrix(in, tg, met)
+		got, err := BuildStoreBlocked(inS, tgS, met)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !got.Equal(want) {
+			t.Errorf("%v: host colour matrix differs from the oracle", met)
+		}
 		for _, workers := range []int{1, 4} {
-			got, err := BuildDeviceRGB(cuda.New(workers), in, tg, met)
+			got, err := BuildStoreDevice(cuda.New(workers), inS, tgS, met)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Errorf("workers=%d %v: device RGB matrix differs from serial", workers, met)
+				t.Errorf("workers=%d %v: device colour matrix differs from the oracle", workers, met)
 			}
 		}
 	}
@@ -57,13 +63,14 @@ func TestRGBMatrixOfGrayImageIsTripleGrayMatrix(t *testing.T) {
 	tgtGray := synth.MustGenerate(synth.Sailboat, 32)
 	gIn, _ := tile.NewGrid(inGray, 8)
 	gTgt, _ := tile.NewGrid(tgtGray, 8)
-	grayM, err := BuildSerial(gIn, gTgt, L1)
+	gInS, gTgtS := storesOf(gIn, gTgt)
+	grayM, err := BuildStoreBlocked(gInS, gTgtS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cIn, _ := tile.NewRGBGrid(imgutil.RGBFromGray(inGray), 8)
-	cTgt, _ := tile.NewRGBGrid(imgutil.RGBFromGray(tgtGray), 8)
-	colorM, err := BuildSerialRGB(cIn, cTgt, L1)
+	cIn, _ := tilestore.FromRGB(imgutil.RGBFromGray(inGray), 8)
+	cTgt, _ := tilestore.FromRGB(imgutil.RGBFromGray(tgtGray), 8)
+	colorM, err := BuildStoreBlocked(cIn, cTgt, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +83,8 @@ func TestRGBMatrixOfGrayImageIsTripleGrayMatrix(t *testing.T) {
 
 func TestRGBTotalMatchesImageError(t *testing.T) {
 	in, tg := rgbGrids(t, 32, 8)
-	m, err := BuildSerialRGB(in, tg, L1)
+	inS, tgS := rgbStoresOf(t, in, tg)
+	m, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,28 +105,38 @@ func TestRGBTotalMatchesImageError(t *testing.T) {
 func TestRGBBuildValidation(t *testing.T) {
 	in, _ := rgbGrids(t, 32, 8)
 	_, tgSmall := rgbGrids(t, 32, 4)
-	if _, err := BuildSerialRGB(in, tgSmall, L1); err == nil {
-		t.Error("accepted mismatched color grids")
+	inS, tgSmallS := rgbStoresOf(t, in, tgSmall)
+	if _, err := BuildStoreBlocked(inS, tgSmallS, L1); err == nil {
+		t.Error("accepted mismatched color stores")
 	}
-	if _, err := BuildDeviceRGB(cuda.New(1), in, tgSmall, L1); err == nil {
-		t.Error("device builder accepted mismatched color grids")
+	if _, err := BuildStoreDevice(cuda.New(1), inS, tgSmallS, L1); err == nil {
+		t.Error("device builder accepted mismatched color stores")
 	}
-	_, tg := rgbGrids(t, 32, 8)
-	if _, err := BuildSerialRGB(in, tg, Metric(7)); err == nil {
+	if _, err := BuildStoreBlocked(inS, inS, Metric(7)); err == nil {
 		t.Error("accepted invalid metric")
 	}
-	// Oversized color tiles overflow Cost.
-	big := imgutil.NewRGB(210, 210)
-	bi, _ := tile.NewRGBGrid(big, 105)
-	bt, _ := tile.NewRGBGrid(big.Clone(), 105)
-	if _, err := BuildSerialRGB(bi, bt, L1); err == nil {
+	// Color tiles beyond MaxTileSideRGB overflow Cost under L2, although
+	// the same side is fine for grayscale.
+	big, err := tilestore.FromRGB(imgutil.NewRGB(210, 210), MaxTileSideRGB+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildStoreBlocked(big, big, L1); err == nil {
 		t.Error("accepted color tile side beyond overflow bound")
+	}
+	// Orientations and proxy descriptors index M×M grayscale payloads.
+	if _, err := BuildOrientedStore(inS, inS, L1); err == nil {
+		t.Error("oriented builder accepted a color store")
+	}
+	if _, err := BuildProxy(inS, inS, L1, 4); err == nil {
+		t.Error("proxy builder accepted a color store")
 	}
 }
 
 func TestAssignmentErrorMatchesMatrixTotal(t *testing.T) {
 	in, tg := grids(t, 64, 8)
-	m, err := BuildSerial(in, tg, L1)
+	inS, tgS := storesOf(in, tg)
+	m, err := BuildStoreBlocked(inS, tgS, L1)
 	if err != nil {
 		t.Fatal(err)
 	}

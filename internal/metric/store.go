@@ -1,40 +1,56 @@
-// Store-backed Step-2 builders: the same named strategies as metric.go, but
-// streaming the columnar tile store instead of re-cropping grids.
+// The Step-2 builders, all streaming the columnar tile store: one per
+// execution target — BuildStoreBlocked on the host, BuildStoreDevice (and
+// its fault-aware BuildStoreDeviceContext) as the paper's §V kernel — plus
+// the oriented variants and BuildProxy (proxy.go).
 //
 // A tilestore.Store holds every tile as a contiguous zero-padded block, so
-// the builders here read the flat buffer linearly — no Grid.Flatten gather
-// per build, no row arithmetic in the inner loop. The kernels run over the
-// padded blocks (tilestore.Store.TilePadded): the padding is zero on both
-// sides of every comparison, contributes |0−0| = 0 under either metric, and
-// keeps every kernel iteration on whole 32-byte chunks. Under L1 each matrix
-// row (or row panel) is one tileErrorL1Row call over the contiguous target
-// blocks; L2 stays one SWAR TileError per entry. Each store builder is
-// bit-identical to its crop-path oracle of the same Builder name, which
+// the builders read the flat buffer linearly — no gather per build, no row
+// arithmetic in the inner loop. The kernels run over the padded blocks
+// (tilestore.Store.TilePadded): the padding is zero on both sides of every
+// comparison, contributes |0−0| = 0 under either metric, and keeps every
+// kernel iteration on whole 32-byte chunks. Under L1 each matrix row (or row
+// panel) is one tileErrorL1Row call over the contiguous target blocks; L2
+// stays one SWAR TileError per entry. Grayscale and colour stores take the
+// same path: a colour block is the tile's interleaved RGB bytes, so the
+// byte-wise error is the summed per-channel error of Eq. (1). Every builder
+// is bit-identical to a crop-and-score oracle built on TileErrorScalar, which
 // TestTileStoreBuildersEquivalent enforces over randomized scenes.
 package metric
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/cuda"
 	"repro/internal/imgutil"
 	"repro/internal/tilestore"
 )
 
-// checkStores validates that two stores are comparable: same grid geometry,
-// tile side within the Cost overflow bound. Equal M implies equal Stride.
+// checkStores validates that two stores are comparable: same grid geometry
+// and channel count, tile side within the Cost overflow bound. Equal M and
+// Channels imply equal Stride.
 func checkStores(in, tgt *tilestore.Store) error {
-	if in.M != tgt.M || in.Cols != tgt.Cols || in.Rows != tgt.Rows {
-		return fmt.Errorf("metric: input store %dx%d tiles of %d vs target %dx%d tiles of %d: %w",
-			in.Cols, in.Rows, in.M, tgt.Cols, tgt.Rows, tgt.M, ErrMismatch)
+	if in.M != tgt.M || in.Cols != tgt.Cols || in.Rows != tgt.Rows || in.Channels != tgt.Channels {
+		return fmt.Errorf("metric: input store %dx%d tiles of %d×%d×%d vs target %dx%d tiles of %d×%d×%d: %w",
+			in.Cols, in.Rows, in.M, in.M, in.Channels, tgt.Cols, tgt.Rows, tgt.M, tgt.M, tgt.Channels, ErrMismatch)
 	}
-	if in.M > MaxTileSide {
-		return fmt.Errorf("metric: tile side %d exceeds %d (Cost overflow): %w", in.M, MaxTileSide, ErrMismatch)
+	maxSide := MaxTileSide
+	if in.Channels > 1 {
+		maxSide = MaxTileSideRGB
+	}
+	if in.M > maxSide {
+		return fmt.Errorf("metric: tile side %d exceeds %d (Cost overflow): %w", in.M, maxSide, ErrMismatch)
 	}
 	return nil
+}
+
+// checkGrayStores is checkStores for the builders that index a tile's M×M
+// pixel payload (orientations, proxy descriptors): grayscale stores only.
+func checkGrayStores(in, tgt *tilestore.Store, m Metric) (s int, err error) {
+	if in.Channels != 1 {
+		return 0, fmt.Errorf("metric: %d-channel store, want grayscale: %w", in.Channels, ErrMismatch)
+	}
+	return storeSetup(in, tgt, m)
 }
 
 // storeSetup shares validation across the store builders.
@@ -48,41 +64,12 @@ func storeSetup(in, tgt *tilestore.Store, m Metric) (s int, err error) {
 	return in.S(), nil
 }
 
-// BuildStoreSerial is BuildSerial over the store: one core, rows in order,
-// each row one storeRow over the padded blocks.
-func BuildStoreSerial(in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
-	s, err := storeSetup(in, tgt, m)
-	if err != nil {
-		return nil, err
-	}
-	out := NewMatrix(s)
-	for u := 0; u < s; u++ {
-		storeRow(in.TilePadded(u), tgt, m, out.Row(u), 0, s)
-	}
-	return out, nil
-}
-
-// BuildStoreSerialScalar is the scalar-kernel oracle over the store — the
-// store-path counterpart of BuildSerialScalar.
-func BuildStoreSerialScalar(in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
-	s, err := storeSetup(in, tgt, m)
-	if err != nil {
-		return nil, err
-	}
-	out := NewMatrix(s)
-	for u := 0; u < s; u++ {
-		tu := in.TilePadded(u)
-		row := out.Row(u)
-		for v := 0; v < s; v++ {
-			row[v] = TileErrorScalar(tu, tgt.TilePadded(v), m)
-		}
-	}
-	return out, nil
-}
-
-// BuildStoreBlocked is the cache-blocked loop nest over the store, with the
-// same byte budgets as BuildBlocked (panels sized by the padded stride, so
-// the resident working set is computed from what is actually streamed).
+// BuildStoreBlocked is the host builder — the paper's CPU column: a
+// cache-blocked loop nest in which the S×S pair space is tiled into (input
+// panel) × (target panel) blocks, so each target panel is loaded from
+// memory once per input panel instead of once per input row. Panels are
+// sized by the padded stride, so the resident working set is computed from
+// what is actually streamed; the visit order changes nothing in the result.
 func BuildStoreBlocked(in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
 	s, err := storeSetup(in, tgt, m)
 	if err != nil {
@@ -122,13 +109,15 @@ func storeRow(tu []uint8, tgt *tilestore.Store, m Metric, row []Cost, v0, v1 int
 	}
 }
 
-// storeDeviceKernel returns the §V kernel body shared by the device-shaped
-// store builders: block b stages input tile rowBase+b.Idx and computes that
-// row of the matrix (the input tile against every target).
-func storeDeviceKernel(in, tgt *tilestore.Store, m Metric, out *Matrix, rowBase int) func(b *cuda.Block) {
+// storeDeviceKernel returns the §V kernel body of the device builders:
+// block u stages input tile u and computes row u of the matrix (the input
+// tile against every target). The kernel fully overwrites its row, so
+// re-launching after a failed (injected) attempt is idempotent — the
+// property the retry layer relies on.
+func storeDeviceKernel(in, tgt *tilestore.Store, m Metric, out *Matrix) func(b *cuda.Block) {
 	stride := in.Stride
 	return func(b *cuda.Block) {
-		u := rowBase + b.Idx
+		u := b.Idx
 		// Stage the padded input block in shared memory (the paper's first
 		// kernel phase); the padded length keeps the copy word-aligned.
 		sh := b.Shared(stride)
@@ -138,156 +127,65 @@ func storeDeviceKernel(in, tgt *tilestore.Store, m Metric, out *Matrix, rowBase 
 	}
 }
 
-// BuildStoreDevice is the paper's §V kernel decomposition reading the store:
-// S blocks, block u staging tile u's padded block in shared memory and
-// producing row u.
+// BuildStoreDevice is the paper's §V kernel decomposition: S blocks, block
+// u staging tile u's padded block in shared memory and producing row u via
+// a thread-stride loop over target tiles. One kernel launch, synchronous.
 func BuildStoreDevice(dev *cuda.Device, in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
 	s, err := storeSetup(in, tgt, m)
 	if err != nil {
 		return nil, err
 	}
 	out := NewMatrix(s)
-	threads := 256
-	if threads > s {
-		threads = s
-	}
-	dev.Launch(s, threads, storeDeviceKernel(in, tgt, m, out, 0))
+	dev.Launch(s, deviceThreads(s), storeDeviceKernel(in, tgt, m, out))
 	return out, nil
 }
 
 // BuildStoreDeviceContext is BuildStoreDevice through the fault-aware launch
-// path (typed errors instead of running the kernel, launch skipped when ctx
-// is dead) — the variant the resilient Step-2 build retries.
+// path (typed errors such as cuda.ErrLaunchFailed instead of running the
+// kernel, launch skipped when ctx is dead) — the variant the resilient
+// Step-2 build retries. A healthy launch is bit-identical to
+// BuildStoreDevice.
 func BuildStoreDeviceContext(ctx context.Context, dev *cuda.Device, in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
 	s, err := storeSetup(in, tgt, m)
 	if err != nil {
 		return nil, err
 	}
 	out := NewMatrix(s)
-	threads := 256
-	if threads > s {
-		threads = s
-	}
-	if err := dev.LaunchErr(ctx, KernelCostMatrix, s, threads, storeDeviceKernel(in, tgt, m, out, 0)); err != nil {
+	if err := dev.LaunchErr(ctx, KernelCostMatrix, s, deviceThreads(s), storeDeviceKernel(in, tgt, m, out)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// BuildStoreRowsParallel is plain row-level multicore parallelism over the
-// store, without the kernel shape.
-func BuildStoreRowsParallel(dev *cuda.Device, in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
-	s, err := storeSetup(in, tgt, m)
-	if err != nil {
-		return nil, err
-	}
-	out := NewMatrix(s)
-	dev.LaunchRange(s, storeRowBody(in, tgt, m, out))
-	return out, nil
+// deviceThreads is the threads-per-block of the Step-2 kernels: a
+// CUDA-typical 256, capped at S. With a block's threads serialised on one
+// worker the count only shapes the stride loops, but keeping the canonical
+// configuration keeps the kernels faithful ports.
+func deviceThreads(s int) int {
+	return min(256, s)
 }
 
-// storeRowBody returns the per-row body of the rows-parallel store builders.
-func storeRowBody(in, tgt *tilestore.Store, m Metric, out *Matrix) func(u int) {
-	return func(u int) {
-		storeRow(in.TilePadded(u), tgt, m, out.Row(u), 0, out.S)
-	}
-}
-
-// BuildStoreRowsParallelContext is BuildStoreRowsParallel through the
-// fault-aware execute path.
-func BuildStoreRowsParallelContext(ctx context.Context, dev *cuda.Device, in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
-	s, err := storeSetup(in, tgt, m)
-	if err != nil {
-		return nil, err
-	}
-	out := NewMatrix(s)
-	if err := dev.ExecuteErr(ctx, KernelCostMatrixRows, s, storeRowBody(in, tgt, m, out)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BuildStoreSharded splits the S matrix rows into contiguous ranges — one
-// per device — and launches the §V kernel concurrently on every device, each
-// shard writing its disjoint row slab of one output matrix. This is the
-// multi-device decomposition the columnar layout exists for: a shard needs
-// only its row range of the input store and the whole target store, both
-// read-only, so shards share the flat buffers zero-copy. The result is
-// bit-identical to BuildStoreDevice (row order inside a shard is the kernel
-// order; rows across shards are disjoint).
-//
-// Launch faults return as typed errors; the first failing shard's error is
-// reported. Concurrent launches are safe because every shard runs on its own
-// Device (separate streams).
-func BuildStoreSharded(ctx context.Context, devs []*cuda.Device, in, tgt *tilestore.Store, m Metric) (*Matrix, error) {
-	if len(devs) == 0 {
-		return nil, errors.New("metric: BuildStoreSharded with no devices")
-	}
-	s, err := storeSetup(in, tgt, m)
-	if err != nil {
-		return nil, err
-	}
-	out := NewMatrix(s)
-	threads := 256
-	if threads > s {
-		threads = s
-	}
-	ranges := cuda.SplitRange(s, len(devs))
-	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func(i int, r cuda.Range, dev *cuda.Device) {
-			defer wg.Done()
-			errs[i] = dev.LaunchErr(ctx, KernelCostMatrix, r.Len(), threads,
-				storeDeviceKernel(in, tgt, m, out, r.Lo))
-		}(i, r, devs[i])
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return out, nil
-}
-
-// BuildStore dispatches to the named builder's store-backed implementation —
-// the same Builder vocabulary as Build, same bit-identical contract, reading
-// the columnar store instead of grids. BuilderAuto resolves exactly as Build
-// does.
+// BuildStore builds the matrix on the execution target the arguments name:
+// the §V kernel (BuildStoreDevice) when dev is non-nil, the host loop
+// (BuildStoreBlocked) otherwise. b must be BuilderAuto.
 func BuildStore(dev *cuda.Device, in, tgt *tilestore.Store, m Metric, b Builder) (*Matrix, error) {
-	if b == BuilderAuto {
-		if dev != nil {
-			b = BuilderDevice
-		} else {
-			b = BuilderBlocked
-		}
+	if b != BuilderAuto {
+		return nil, fmt.Errorf("metric: unknown builder %q", b)
 	}
-	if b.NeedsDevice() && dev == nil {
-		return nil, fmt.Errorf("metric: builder %q requires a device", b)
-	}
-	switch b {
-	case BuilderSerial:
-		return BuildStoreSerial(in, tgt, m)
-	case BuilderScalar:
-		return BuildStoreSerialScalar(in, tgt, m)
-	case BuilderBlocked:
-		return BuildStoreBlocked(in, tgt, m)
-	case BuilderDevice:
+	if dev != nil {
 		return BuildStoreDevice(dev, in, tgt, m)
-	case BuilderRows:
-		return BuildStoreRowsParallel(dev, in, tgt, m)
 	}
-	return nil, fmt.Errorf("metric: unknown builder %q", b)
+	return BuildStoreBlocked(in, tgt, m)
 }
 
-// BuildOrientedStore is BuildOriented reading the store: all eight dihedral
-// placements scored per pair from the unpadded tile views (orientation
-// indexing is defined over the M×M payload, so the oriented kernels use
-// Tile, not TilePadded; the upright case is the plain TileError).
+// BuildOrientedStore computes the oriented cost matrix on the host: for each
+// pair it scores all eight dihedral placements and keeps the best — roughly
+// 8× the work of the upright matrix. It reads the unpadded tile views
+// (orientation indexing is defined over the M×M payload, so the oriented
+// kernels use Tile, not TilePadded; the upright case is the plain
+// TileError). Grayscale stores only.
 func BuildOrientedStore(in, tgt *tilestore.Store, met Metric) (*OrientedMatrix, error) {
-	s, err := storeSetup(in, tgt, met)
+	s, err := checkGrayStores(in, tgt, met)
 	if err != nil {
 		return nil, err
 	}
@@ -317,9 +215,11 @@ func BuildOrientedStore(in, tgt *tilestore.Store, met Metric) (*OrientedMatrix, 
 	return out, nil
 }
 
-// BuildOrientedStoreDevice is BuildOrientedDevice reading the store.
+// BuildOrientedStoreDevice is BuildOrientedStore with the paper's Step-2
+// kernel shape: S blocks, block u staging tile u in shared memory and
+// producing row u (all eight orientations scored from the staged copy).
 func BuildOrientedStoreDevice(dev *cuda.Device, in, tgt *tilestore.Store, met Metric) (*OrientedMatrix, error) {
-	s, err := storeSetup(in, tgt, met)
+	s, err := checkGrayStores(in, tgt, met)
 	if err != nil {
 		return nil, err
 	}
@@ -329,11 +229,7 @@ func BuildOrientedStoreDevice(dev *cuda.Device, in, tgt *tilestore.Store, met Me
 		Matrix: *NewMatrix(s),
 		Orient: make([]imgutil.Orientation, s*s),
 	}
-	threads := 256
-	if threads > s {
-		threads = s
-	}
-	dev.Launch(s, threads, func(b *cuda.Block) {
+	dev.Launch(s, deviceThreads(s), func(b *cuda.Block) {
 		u := b.Idx
 		sh := b.Shared(m2)
 		src := in.Tile(u)

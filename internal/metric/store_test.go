@@ -1,41 +1,40 @@
-package metric_test
+package metric
 
-// The differential oracle battery for the columnar store path: every named
-// builder, under every metric and both orientation modes, must produce a
-// cost matrix bit-identical to the legacy crop-path build — and, since the
-// search is deterministic given a matrix, an identical final permutation.
-// Scenes are randomized (seeded synth pairs) so the equivalence is not an
-// artifact of one input.
+// The differential oracle battery: every Step-2 builder, under every metric
+// and both orientation modes — plus the colour and proxy matrices — must
+// produce a cost matrix bit-identical to the crop-and-score oracle
+// (oracle_test.go), and, since the search is deterministic given a matrix,
+// an identical final permutation. Scenes are randomized (seeded synth
+// pairs) so the equivalence is not an artifact of one input.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/cuda"
 	"repro/internal/imgutil"
-	"repro/internal/localsearch"
-	"repro/internal/metric"
-	"repro/internal/perm"
 	"repro/internal/synth"
 	"repro/internal/tile"
 	"repro/internal/tilestore"
 )
 
 // scenePair is one randomized test scene: two synth images on a shared
-// geometry.
+// geometry, and a proxy resolution that divides its tile side.
 type scenePair struct {
-	name string
-	n, m int
-	in   synth.Scene
-	tgt  synth.Scene
+	name   string
+	n, m   int
+	in     synth.Scene
+	tgt    synth.Scene
+	proxyD int
 }
 
 func storeScenes() []scenePair {
 	return []scenePair{
-		{"lena-sailboat-64", 64, 8, synth.Lena, synth.Sailboat},
-		{"plasma-checker-48", 48, 6, synth.Plasma, synth.Checker},
-		{"baboon-peppers-45", 45, 9, synth.Baboon, synth.Peppers}, // odd side → padded stride
+		{"lena-sailboat-64", 64, 8, synth.Lena, synth.Sailboat, 4},
+		{"plasma-checker-48", 48, 6, synth.Plasma, synth.Checker, 3},
+		{"baboon-peppers-45", 45, 9, synth.Baboon, synth.Peppers, 3}, // odd side → padded stride
 	}
 }
 
@@ -59,147 +58,131 @@ func (sc scenePair) build(t testing.TB) (inG, tgtG *tile.Grid, inS, tgtS *tilest
 	return inG, tgtG, inS, tgtS
 }
 
-// searchPerm runs the deterministic serial search on a matrix — the "final
-// permutation" half of the oracle battery.
-func searchPerm(t testing.TB, m *metric.Matrix) perm.Perm {
+// buildRGB renders the scene pair in colour, as grids for the oracle and
+// as colour stores for the builders.
+func (sc scenePair) buildRGB(t testing.TB) (inG, tgtG *tile.RGBGrid, inS, tgtS *tilestore.Store) {
 	t.Helper()
-	p, _, err := localsearch.Serial(m, perm.Identity(m.S), localsearch.Options{})
+	inImg, err := synth.GenerateRGB(sc.in, sc.n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	tgtImg, err := synth.GenerateRGB(sc.tgt, sc.n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inG, err = tile.NewRGBGrid(inImg, sc.m); err != nil {
+		t.Fatal(err)
+	}
+	if tgtG, err = tile.NewRGBGrid(tgtImg, sc.m); err != nil {
+		t.Fatal(err)
+	}
+	inS, tgtS = rgbStoresOf(t, inG, tgtG)
+	return inG, tgtG, inS, tgtS
+}
+
+// checkAgainst fails unless got equals the oracle matrix and derives the
+// same final permutation under the deterministic swap search greedyLocal.
+func checkAgainst(t *testing.T, got, want *Matrix) {
+	t.Helper()
+	if !got.Equal(want) {
+		t.Fatal("store-backed matrix differs from the oracle")
+	}
+	if !greedyLocal(got).Equal(greedyLocal(want)) {
+		t.Fatal("final permutations differ")
+	}
 }
 
 // TestTileStoreBuildersEquivalent is the differential oracle battery: for
 // every (builder × metric × orientation) combination the store-backed build
-// must be bit-identical to the legacy crop-path build of the same name —
-// matrices AND the final permutations the search derives from them.
+// must be bit-identical to the oracle — matrices AND the final permutations
+// the search derives from them. The "" case is the BuildStore dispatch on a
+// device; "rgb" runs the host and device builders on colour stores, and
+// "proxy" the descriptor matrix.
 func TestTileStoreBuildersEquivalent(t *testing.T) {
 	for _, sc := range storeScenes() {
 		inG, tgtG, inS, tgtS := sc.build(t)
-		for _, met := range []metric.Metric{metric.L1, metric.L2} {
-			// Upright: every named builder plus auto, store vs crop path.
-			for _, b := range append(metric.Builders(), metric.BuilderAuto) {
-				t.Run(fmt.Sprintf("%s/%v/%s", sc.name, met, b), func(t *testing.T) {
-					var dev *cuda.Device
-					if b.NeedsDevice() || b == metric.BuilderAuto {
-						dev = cuda.New(0)
-					}
-					want, err := metric.Build(dev, inG, tgtG, met, b)
+		rgbInG, rgbTgtG, rgbInS, rgbTgtS := sc.buildRGB(t)
+		for _, met := range []Metric{L1, L2} {
+			want := oracleMatrix(inG, tgtG, met)
+			for _, tc := range []struct {
+				name  string
+				build func() (*Matrix, error)
+			}{
+				{"blocked", func() (*Matrix, error) { return BuildStoreBlocked(inS, tgtS, met) }},
+				{"device", func() (*Matrix, error) { return BuildStoreDevice(cuda.New(0), inS, tgtS, met) }},
+				{"", func() (*Matrix, error) { return BuildStore(cuda.New(0), inS, tgtS, met, BuilderAuto) }},
+			} {
+				t.Run(fmt.Sprintf("%s/%v/%s", sc.name, met, tc.name), func(t *testing.T) {
+					got, err := tc.build()
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := metric.BuildStore(dev, inS, tgtS, met, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !got.Equal(want) {
-						t.Fatal("store-backed matrix differs from crop-path oracle")
-					}
-					if !searchPerm(t, got).Equal(searchPerm(t, want)) {
-						t.Fatal("final permutations differ")
-					}
+					checkAgainst(t, got, want)
 				})
 			}
-			// Oriented: CPU and device variants against BuildOriented.
+			// Oriented: host and device variants against the oracle.
 			t.Run(fmt.Sprintf("%s/%v/oriented", sc.name, met), func(t *testing.T) {
-				want, err := metric.BuildOriented(inG, tgtG, met)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := metric.BuildOrientedStore(inS, tgtS, met)
+				want := oracleOriented(inG, tgtG, met)
+				got, err := BuildOrientedStore(inS, tgtS, met)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkOrientedEqual(t, got, want)
-				gotDev, err := metric.BuildOrientedStoreDevice(cuda.New(0), inS, tgtS, met)
+				gotDev, err := BuildOrientedStoreDevice(cuda.New(0), inS, tgtS, met)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkOrientedEqual(t, gotDev, want)
-				if !searchPerm(t, &got.Matrix).Equal(searchPerm(t, &want.Matrix)) {
+				if !greedyLocal(&got.Matrix).Equal(greedyLocal(&want.Matrix)) {
 					t.Fatal("final permutations differ (oriented)")
 				}
+			})
+			t.Run(fmt.Sprintf("%s/%v/rgb", sc.name, met), func(t *testing.T) {
+				want := oracleRGBMatrix(rgbInG, rgbTgtG, met)
+				got, err := BuildStoreBlocked(rgbInS, rgbTgtS, met)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainst(t, got, want)
+				gotDev, err := BuildStoreDevice(cuda.New(0), rgbInS, rgbTgtS, met)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainst(t, gotDev, want)
+			})
+			t.Run(fmt.Sprintf("%s/%v/proxy", sc.name, met), func(t *testing.T) {
+				got, err := BuildProxy(inS, tgtS, met, sc.proxyD)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainst(t, got, oracleProxy(inG, tgtG, met, sc.proxyD))
 			})
 		}
 	}
 }
 
-func checkOrientedEqual(t *testing.T, got, want *metric.OrientedMatrix) {
-	t.Helper()
-	if !got.Matrix.Equal(&want.Matrix) {
-		t.Fatal("oriented store-backed matrix differs from crop-path oracle")
-	}
-	for i := range got.Orient {
-		if got.Orient[i] != want.Orient[i] {
-			t.Fatalf("orientation[%d] = %v, want %v", i, got.Orient[i], want.Orient[i])
-		}
-	}
-}
-
-// TestBuildStoreShardedBitIdentical: splitting the matrix rows across 1..4
-// concurrent devices must reproduce the single-device build exactly.
-func TestBuildStoreShardedBitIdentical(t *testing.T) {
-	sc := storeScenes()[0]
-	_, _, inS, tgtS := sc.build(t)
-	want, err := metric.BuildStoreDevice(cuda.New(0), inS, tgtS, metric.L2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for parts := 1; parts <= 4; parts++ {
-		devs := make([]*cuda.Device, parts)
-		for i := range devs {
-			devs[i] = cuda.New(0)
-		}
-		got, err := metric.BuildStoreSharded(context.Background(), devs, inS, tgtS, metric.L2)
-		if err != nil {
-			t.Fatalf("sharded over %d devices: %v", parts, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("sharded build over %d devices differs from single-device build", parts)
-		}
-	}
-}
-
-// TestBuildStoreShardedFaults: an injected launch fault on one shard surfaces
-// as that shard's typed error.
-func TestBuildStoreShardedFaults(t *testing.T) {
-	sc := storeScenes()[0]
-	_, _, inS, tgtS := sc.build(t)
-	good := cuda.New(0)
-	bad := cuda.New(0).WithFaults(&cuda.FaultPlan{EveryNth: 1})
-	if _, err := metric.BuildStoreSharded(context.Background(), []*cuda.Device{good, bad}, inS, tgtS, metric.L1); err == nil {
-		t.Fatal("sharded build over a faulted device returned no error")
-	}
-}
-
-// TestStoreContextBuilders: the fault-aware store builders succeed on a clean
-// device and match the oracle.
+// TestStoreContextBuilders: the fault-aware device builder matches the
+// oracle on a clean device and returns the typed launch error, without a
+// matrix, on a faulted one.
 func TestStoreContextBuilders(t *testing.T) {
 	sc := storeScenes()[1]
 	inG, tgtG, inS, tgtS := sc.build(t)
-	want, err := metric.BuildSerial(inG, tgtG, metric.L2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	got, err := metric.BuildStoreDeviceContext(ctx, cuda.New(0), inS, tgtS, metric.L2)
+	got, err := BuildStoreDeviceContext(ctx, cuda.New(0), inS, tgtS, L2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
-		t.Fatal("BuildStoreDeviceContext differs from serial oracle")
+	if !got.Equal(oracleMatrix(inG, tgtG, L2)) {
+		t.Fatal("BuildStoreDeviceContext differs from the oracle")
 	}
-	got, err = metric.BuildStoreRowsParallelContext(ctx, cuda.New(0), inS, tgtS, metric.L2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("BuildStoreRowsParallelContext differs from serial oracle")
+	bad := cuda.New(0).WithFaults(&cuda.FaultPlan{EveryNth: 1})
+	got, err = BuildStoreDeviceContext(ctx, bad, inS, tgtS, L1)
+	if !errors.Is(err, cuda.ErrLaunchFailed) || got != nil {
+		t.Fatalf("faulted launch returned (%v, %v), want (nil, ErrLaunchFailed)", got, err)
 	}
 }
 
-// TestBuildStoreRejections mirrors the crop path's validation errors.
+// TestBuildStoreRejections covers the store builders' validation errors.
 func TestBuildStoreRejections(t *testing.T) {
 	a, err := tilestore.FromImage(imgutil.NewGray(16, 16), 4)
 	if err != nil {
@@ -209,20 +192,17 @@ func TestBuildStoreRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := metric.BuildStoreSerial(a, b, metric.L1); err == nil {
+	if _, err := BuildStoreBlocked(a, b, L1); err == nil {
 		t.Fatal("mismatched stores accepted")
 	}
-	if _, err := metric.BuildStoreSerial(a, a, metric.Metric(99)); err == nil {
+	if _, err := BuildStoreBlocked(a, a, Metric(99)); err == nil {
 		t.Fatal("invalid metric accepted")
 	}
-	if _, err := metric.BuildStore(nil, a, a, metric.L1, metric.BuilderDevice); err == nil {
-		t.Fatal("device builder without device accepted")
-	}
-	if _, err := metric.BuildStore(nil, a, a, metric.L1, metric.Builder("nope")); err == nil {
+	if _, err := BuildStore(nil, a, a, L1, Builder("nope")); err == nil {
 		t.Fatal("unknown builder accepted")
 	}
-	if _, err := metric.BuildStoreSharded(context.Background(), nil, a, a, metric.L1); err == nil {
-		t.Fatal("sharded build with no devices accepted")
+	if _, err := BuildStoreDeviceContext(context.Background(), cuda.New(1), a, b, L1); err == nil {
+		t.Fatal("fault-aware device builder accepted mismatched stores")
 	}
 }
 
@@ -244,7 +224,7 @@ func benchStoreDevice(b *testing.B, m int) {
 	b.SetBytes(s * s * 2 * int64(in.Stride))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metric.BuildStoreDevice(dev, in, tgt, metric.L1); err != nil {
+		if _, err := BuildStoreDevice(dev, in, tgt, L1); err != nil {
 			b.Fatal(err)
 		}
 	}

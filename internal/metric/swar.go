@@ -4,7 +4,7 @@
 // of motion estimation, and the dominant, trivially vectorizable cost of
 // Step 2 (the S×S matrix performs S²·M² of them). The store-backed L1
 // builders run it as a row kernel (row.go; SSE2 PSADBW on amd64), so the
-// SWAR kernels here are the single-pair path — TileError, the crop-path
+// SWAR kernels here are the single-pair path — TileError, the oriented
 // builders and every L2 build — and, through tileErrorL1RowGo, the row
 // kernel on architectures without an assembly version. The loops below
 // process eight pixels per uint64 word on plain integer arithmetic, four
@@ -24,7 +24,7 @@
 // TileErrorScalar keeps the byte-at-a-time transcription of Eq. (1) as the
 // reference oracle; FuzzTileErrorSWAR differentially tests the two on
 // arbitrary bytes and lengths, and every matrix builder must stay
-// bit-identical to the scalar build (TestBuildersEquivalent).
+// bit-identical to the scalar oracle (TestBuildersEquivalent).
 package metric
 
 import "encoding/binary"

@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -79,67 +80,56 @@ func FuzzTileErrorSWAR(f *testing.F) {
 	})
 }
 
-// TestBuildersEquivalent checks the tentpole invariant end to end: every
-// named builder — serial SWAR, scalar oracle, cache-blocked, device kernel,
-// rows-parallel — produces the bit-identical matrix through the Build
-// dispatcher, for both metrics, on grids sized to exercise panel remainders.
+// TestBuildersEquivalent checks the Step-2 invariant end to end: every
+// builder — the host loop, the device kernel through both launch paths, and
+// the BuildStore dispatch with and without a device — produces the oracle's
+// matrix, for both metrics, on grids sized to exercise panel remainders.
 func TestBuildersEquivalent(t *testing.T) {
 	for _, tc := range []struct{ n, tiles int }{{64, 8}, {60, 6}, {96, 12}} {
 		in, tg := grids(t, tc.n, tc.tiles)
+		inS, tgS := storesOf(in, tg)
 		dev := cuda.New(3)
 		for _, met := range []Metric{L1, L2} {
-			want, err := Build(nil, in, tg, met, BuilderScalar)
-			if err != nil {
-				t.Fatal(err)
+			want := oracleMatrix(in, tg, met)
+			builds := map[string]func() (*Matrix, error){
+				"blocked": func() (*Matrix, error) { return BuildStoreBlocked(inS, tgS, met) },
+				"device":  func() (*Matrix, error) { return BuildStoreDevice(dev, inS, tgS, met) },
+				"device-context": func() (*Matrix, error) {
+					return BuildStoreDeviceContext(context.Background(), dev, inS, tgS, met)
+				},
+				"auto-host":   func() (*Matrix, error) { return BuildStore(nil, inS, tgS, met, BuilderAuto) },
+				"auto-device": func() (*Matrix, error) { return BuildStore(dev, inS, tgS, met, BuilderAuto) },
 			}
-			for _, b := range Builders() {
-				var d *cuda.Device
-				if b.NeedsDevice() {
-					d = dev
-				}
-				got, err := Build(d, in, tg, met, b)
+			for name, build := range builds {
+				got, err := build()
 				if err != nil {
-					t.Fatalf("Build(%q, %v): %v", b, met, err)
+					t.Fatalf("%s (%v): %v", name, met, err)
 				}
 				if !got.Equal(want) {
-					t.Errorf("builder %q (%v, %d/%d) differs from the scalar oracle", b, met, tc.n, tc.tiles)
-				}
-			}
-			// Auto without and with a device must agree too.
-			for _, d := range []*cuda.Device{nil, dev} {
-				got, err := Build(d, in, tg, met, BuilderAuto)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Errorf("BuilderAuto(device=%v, %v) differs from the scalar oracle", d != nil, met)
+					t.Errorf("%s (%v, %d/%d) differs from the oracle", name, met, tc.n, tc.tiles)
 				}
 			}
 		}
 	}
 }
 
-// TestBuildDispatcherValidation covers the Build/ParseBuilder error paths.
+// TestBuildDispatcherValidation covers BuildStore's dispatch: the execution
+// target follows from the device argument alone, and BuilderAuto is the
+// only builder value.
 func TestBuildDispatcherValidation(t *testing.T) {
-	in, tg := grids(t, 32, 4)
-	if _, err := Build(nil, in, tg, L1, BuilderDevice); err == nil {
-		t.Error("device builder without a device did not error")
+	inS, tgS := storesOf(grids(t, 32, 4))
+	if _, err := BuildStore(nil, inS, tgS, L1, Builder("serial")); err == nil {
+		t.Error("BuildStore accepted a builder other than BuilderAuto")
 	}
-	if _, err := Build(nil, in, tg, L1, Builder("nope")); err == nil {
-		t.Error("unknown builder did not error")
+	if _, err := BuildStore(nil, inS, tgS, L1, BuilderAuto); err != nil {
+		t.Errorf("host build: %v", err)
 	}
-	if _, err := ParseBuilder("nope"); err == nil {
-		t.Error("ParseBuilder accepted junk")
+	dev := cuda.New(2)
+	if _, err := BuildStore(dev, inS, tgS, L1, BuilderAuto); err != nil {
+		t.Fatalf("device build: %v", err)
 	}
-	for _, name := range []string{"", "auto"} {
-		if b, err := ParseBuilder(name); err != nil || b != BuilderAuto {
-			t.Errorf("ParseBuilder(%q) = %q, %v", name, b, err)
-		}
-	}
-	for _, b := range Builders() {
-		if got, err := ParseBuilder(string(b)); err != nil || got != b {
-			t.Errorf("ParseBuilder(%q) = %q, %v", b, got, err)
-		}
+	if m := dev.Metrics(); m.Launches != 1 || m.Blocks != int64(inS.S()) {
+		t.Errorf("device build ran %d launches / %d blocks, want 1 / %d", m.Launches, m.Blocks, inS.S())
 	}
 }
 

@@ -174,20 +174,6 @@ func (g *RGBGrid) Row(i, r int) []uint8 {
 	return g.Img.Pix[off : off+3*g.M]
 }
 
-// Flatten packs all tiles contiguously: tile i occupies bytes
-// [i·3M², (i+1)·3M²).
-func (g *RGBGrid) Flatten() []uint8 {
-	m2 := 3 * g.M * g.M
-	rowBytes := 3 * g.M
-	out := make([]uint8, g.S()*m2)
-	for i := 0; i < g.S(); i++ {
-		for r := 0; r < g.M; r++ {
-			copy(out[i*m2+r*rowBytes:i*m2+(r+1)*rowBytes], g.Row(i, r))
-		}
-	}
-	return out
-}
-
 // Assemble builds the rearranged color image under permutation p.
 func (g *RGBGrid) Assemble(p perm.Perm) (*imgutil.RGB, error) {
 	if len(p) != g.S() {

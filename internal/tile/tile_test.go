@@ -223,7 +223,7 @@ func TestAssemblePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestRGBGridFlattenAndAssemble(t *testing.T) {
+func TestRGBGridRowsAndAssemble(t *testing.T) {
 	img := imgutil.NewRGB(4, 4)
 	for i := range img.Pix {
 		img.Pix[i] = uint8(i)
@@ -235,9 +235,13 @@ func TestRGBGridFlattenAndAssemble(t *testing.T) {
 	if g.S() != 4 {
 		t.Fatalf("S = %d", g.S())
 	}
-	flat := g.Flatten()
-	if len(flat) != 4*12 {
-		t.Fatalf("flatten length %d", len(flat))
+	// Row r of tile 3 (origin (2, 2)) is pixels (2..3, 2+r), interleaved.
+	for r := 0; r < 2; r++ {
+		row := g.Row(3, r)
+		off := 3 * ((2+r)*4 + 2)
+		if len(row) != 6 || row[0] != img.Pix[off] || row[5] != img.Pix[off+5] {
+			t.Fatalf("Row(3, %d) = %v, want image bytes from %d", r, row, off)
+		}
 	}
 	// Identity assembly reproduces the image.
 	out, err := g.Assemble(perm.Identity(4))

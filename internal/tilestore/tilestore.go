@@ -13,7 +13,7 @@
 //     32-byte chunks with no tail handling and rows of consecutive tiles stay
 //     cache-line aligned. Zero padding is metric-neutral: |0−0| contributes
 //     nothing under L1 or L2, so kernels may run over the padded block and
-//     stay bit-identical to the unpadded crop path.
+//     stay bit-identical to scoring the unpadded tiles.
 //   - Per-tile summary stats — pixel sum, 256-bin histogram, and a low-res
 //     box-downsampled thumbnail feature vector — are computed in the same
 //     pass that gathers the pixels. The per-tile histograms sum to the
@@ -21,6 +21,11 @@
 //     target's distribution for §II histogram matching without a second
 //     pass; the thumbnails are the feature vectors clustering/candidate
 //     pruning consumes.
+//
+// A colour store (FromRGB) holds each tile's 3·M² interleaved RGB bytes in
+// its block instead: Eq. (1) over those bytes is the summed per-channel
+// error, so the same Step-2 kernels score colour tiles unchanged. Its stats
+// are the pixel-byte sums only.
 //
 // A Store is immutable after construction: concurrent readers (cost-matrix
 // builders on several devices, concurrent FinishContext calls on one cached
@@ -54,27 +59,30 @@ const histBins = 256
 
 // Store is an immutable columnar tile store: S contiguous padded pixel
 // blocks plus per-tile summary stats, all indexed by the grid's row-major
-// tile order. Construct with FromGrid, FromImage or GatherLUT; do not
-// mutate any field afterwards.
+// tile order. Construct with FromGrid, FromImage, GatherLUT or FromRGB; do
+// not mutate any field afterwards.
 type Store struct {
 	M    int // tile side in pixels
 	Cols int // tiles per image row
 	Rows int // tiles per image column
-	// Stride is the padded byte size of one tile block: M² rounded up to a
-	// multiple of PadAlign. Padding bytes are zero.
+	// Channels is the bytes per pixel: 1 for grayscale stores, 3 for
+	// FromRGB's interleaved colour tiles.
+	Channels int
+	// Stride is the padded byte size of one tile block: Channels·M² rounded
+	// up to a multiple of PadAlign. Padding bytes are zero.
 	Stride int
 	// Pix is the flat pixel buffer, S·Stride bytes: tile i row-major at
-	// [i·Stride, i·Stride+M²), then zero padding to (i+1)·Stride.
+	// [i·Stride, i·Stride+Channels·M²), then zero padding to (i+1)·Stride.
 	Pix []uint8
-	// Sum is the per-tile pixel sum (Σ of the M² bytes).
+	// Sum is the per-tile byte sum (Σ of the Channels·M² bytes).
 	Sum []int64
 	// Hist is the per-tile intensity histogram, histBins counters per tile:
 	// tile i's bin v at Hist[i·256+v]. Tile histograms sum to the image's
-	// global histogram.
+	// global histogram. Empty in colour stores.
 	Hist []uint32
 	// Thumb is the per-tile thumbnail, ThumbDim² bytes per tile: the tile
 	// box-downsampled to ThumbDim×ThumbDim by integer mean (truncating
-	// division) over each cell.
+	// division) over each cell. Empty in colour stores.
 	Thumb []uint8
 	// ThumbDim is the realised thumbnail side: min(ThumbSide, M).
 	ThumbDim int
@@ -96,7 +104,7 @@ func LayoutFor(m int) Layout {
 		panic(fmt.Sprintf("tilestore: LayoutFor(%d)", m))
 	}
 	m2 := m * m
-	stride := (m2 + PadAlign - 1) / PadAlign * PadAlign
+	stride := padded(m2)
 	td := ThumbSide
 	if td > m {
 		td = m
@@ -110,16 +118,21 @@ func LayoutFor(m int) Layout {
 	}
 }
 
-// Layout returns the realised layout of s.
+// padded rounds a tile's payload size up to whole PadAlign chunks.
+func padded(n int) int { return (n + PadAlign - 1) / PadAlign * PadAlign }
+
+// Layout returns the realised layout of s (the grayscale layout: colour
+// stores pad 3·M² bytes per tile and keep no histogram or thumbnail).
 func (s *Store) Layout() Layout { return LayoutFor(s.M) }
 
 // S returns the number of tiles.
 func (s *Store) S() int { return s.Cols * s.Rows }
 
-// Tile returns tile i's M² payload bytes (no padding), row-major.
+// Tile returns tile i's Channels·M² payload bytes (no padding), row-major.
 func (s *Store) Tile(i int) []uint8 {
 	off := i * s.Stride
-	return s.Pix[off : off+s.M*s.M : off+s.M*s.M]
+	n := s.Channels * s.M * s.M
+	return s.Pix[off : off+n : off+n]
 }
 
 // TilePadded returns tile i's full padded block (Stride bytes, zero tail).
@@ -140,10 +153,11 @@ func (s *Store) TileThumb(i int) []uint8 {
 	return s.Thumb[i*n : (i+1)*n]
 }
 
-// Mean returns tile i's mean intensity (truncating integer division, the
-// scalar-recomputable convention the fuzz oracle checks).
+// Mean returns tile i's mean byte value — its mean intensity in a grayscale
+// store (truncating integer division, the scalar-recomputable convention
+// the fuzz oracle checks).
 func (s *Store) Mean(i int) uint8 {
-	return uint8(s.Sum[i] / int64(s.M*s.M))
+	return uint8(s.Sum[i] / int64(s.Channels*s.M*s.M))
 }
 
 // GlobalHistogram sums the per-tile histograms into the image's histogram —
@@ -173,6 +187,7 @@ func newStore(m, cols, rows int) *Store {
 		M:        m,
 		Cols:     cols,
 		Rows:     rows,
+		Channels: 1,
 		Stride:   lay.Stride,
 		Pix:      make([]uint8, s*lay.Stride),
 		Sum:      make([]int64, s),
@@ -289,9 +304,40 @@ func GatherLUT(img *imgutil.Gray, m int, lut [256]uint8) (*Store, *imgutil.Gray,
 	return s, matched, nil
 }
 
-// Scatter reconstructs the source image from the stored tile blocks — the
-// inverse of the gather, exact byte for byte (the round-trip contract the
-// fuzz target pins).
+// FromRGB builds a colour store from an image divided into m×m tiles, with
+// the same geometry validation as tile.NewRGBGrid: each block holds the
+// tile's 3·M² interleaved RGB bytes, and Sum their byte total.
+func FromRGB(img *imgutil.RGB, m int) (*Store, error) {
+	g, err := tile.NewRGBGrid(img, m)
+	if err != nil {
+		return nil, err
+	}
+	n := g.S()
+	s := &Store{
+		M:        m,
+		Cols:     g.Cols,
+		Rows:     g.Rows,
+		Channels: 3,
+		Stride:   padded(3 * m * m),
+		Sum:      make([]int64, n),
+	}
+	s.Pix = make([]uint8, n*s.Stride)
+	row := 3 * m
+	for i := 0; i < n; i++ {
+		block := s.Pix[i*s.Stride:]
+		for r := 0; r < m; r++ {
+			copy(block[r*row:(r+1)*row], g.Row(i, r))
+		}
+		for _, p := range s.Tile(i) {
+			s.Sum[i] += int64(p)
+		}
+	}
+	return s, nil
+}
+
+// Scatter reconstructs the source image of a grayscale store from its tile
+// blocks — the inverse of the gather, exact byte for byte (the round-trip
+// contract the fuzz target pins).
 func (s *Store) Scatter() *imgutil.Gray {
 	out := imgutil.NewGray(s.Cols*s.M, s.Rows*s.M)
 	m := s.M

@@ -188,3 +188,47 @@ func TestMean(t *testing.T) {
 		t.Fatalf("Mean = %d, want 7", s.Mean(0))
 	}
 }
+
+// TestFromRGBMatchesGridRows: every colour block holds its tile's RGB rows
+// back to back, zero-padded to a PadAlign multiple, with the byte sum in Sum.
+func TestFromRGBMatchesGridRows(t *testing.T) {
+	for _, tc := range []struct{ n, m int }{{32, 8}, {45, 9}, {24, 4}} {
+		img, err := synth.GenerateRGB(synth.Peppers, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := FromRGB(img, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := tile.NewRGBGrid(img, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Channels != 3 || s.S() != g.S() || s.Stride%PadAlign != 0 || s.Stride < 3*tc.m*tc.m {
+			t.Fatalf("n=%d m=%d: channels %d, S %d, stride %d", tc.n, tc.m, s.Channels, s.S(), s.Stride)
+		}
+		for i := 0; i < s.S(); i++ {
+			var want []uint8
+			var sum int64
+			for r := 0; r < tc.m; r++ {
+				want = append(want, g.Row(i, r)...)
+			}
+			for _, p := range want {
+				sum += int64(p)
+			}
+			if !bytes.Equal(s.Tile(i), want) {
+				t.Fatalf("n=%d m=%d: tile %d bytes differ from the grid rows", tc.n, tc.m, i)
+			}
+			if pad := s.TilePadded(i)[len(want):]; !bytes.Equal(pad, make([]uint8, len(pad))) {
+				t.Fatalf("n=%d m=%d: tile %d padding not zero", tc.n, tc.m, i)
+			}
+			if s.Sum[i] != sum || s.Mean(i) != uint8(sum/int64(len(want))) {
+				t.Fatalf("n=%d m=%d: tile %d sum %d, want %d", tc.n, tc.m, i, s.Sum[i], sum)
+			}
+		}
+	}
+	if _, err := FromRGB(imgutil.NewRGB(30, 30), 8); err == nil {
+		t.Error("accepted an image not divisible into tiles")
+	}
+}

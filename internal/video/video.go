@@ -4,15 +4,17 @@
 //
 // A Sequencer holds everything reusable across frames of one stream:
 //
-//   - the tiled input image and its flattened tile buffer (Step 1, once);
+//   - the input image;
 //   - the edge coloring of K_S for the parallel search, which depends only
 //     on S (§IV-B: "computed in advance");
 //   - the previous frame's assignment, used to warm-start the local search —
 //     consecutive frames differ little, so far fewer passes are needed than
 //     from the identity start.
 //
-// Per frame, only Step 2 (the cost matrix against the new target) and the
-// warm-started Step 3 run.
+// Each frame is one run of the core pipeline (core.GenerateContext) against
+// the new target, with the precomputed coloring and the warm start passed
+// in: Algorithm 2 on the device when the stream has one, Algorithm 1 on the
+// host otherwise.
 package video
 
 import (
@@ -21,15 +23,13 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cuda"
 	"repro/internal/edgecolor"
-	"repro/internal/hist"
 	"repro/internal/imgutil"
-	"repro/internal/localsearch"
 	"repro/internal/metric"
 	"repro/internal/perm"
 	"repro/internal/telemetry"
-	"repro/internal/tile"
 	"repro/internal/trace"
 )
 
@@ -159,18 +159,9 @@ func (q *Sequencer) NextContext(ctx context.Context, target *imgutil.Gray) (*Fra
 	}
 	tree := trace.NewTree()
 	tr := trace.Multi(tree, q.cfg.Trace)
-	var dev0 cuda.Metrics
-	if q.cfg.Device != nil {
-		dev0 = q.cfg.Device.Metrics()
-	}
 	begin := time.Now()
 	fr, err := q.next(ctx, target, tr)
 	latency := time.Since(begin)
-	if q.cfg.Device != nil {
-		d := q.cfg.Device.Metrics().Sub(dev0)
-		trace.Count(tr, trace.CounterKernelLaunches, d.Launches)
-		trace.Count(tr, trace.CounterKernelBlocks, d.Blocks)
-	}
 	if err != nil {
 		trace.Count(tr, trace.CounterFrameErrors, 1)
 		if q.errorsCtr != nil {
@@ -198,89 +189,37 @@ func (q *Sequencer) countFrameError() {
 	}
 }
 
-// next runs the per-frame stages under the frame span.
+// next runs one frame of the core pipeline under the frame span. The
+// pipeline charges its kernel launches and blocks to tr.
 func (q *Sequencer) next(ctx context.Context, target *imgutil.Gray, tr trace.Collector) (*FrameResult, error) {
 	root := trace.Start(tr, trace.SpanFrame)
 	defer root.End()
-
-	sp := trace.Start(tr, trace.SpanPreprocess)
-	work := q.input
-	var err error
-	if !q.cfg.NoHistogramMatch {
-		work, err = hist.Match(q.input, target)
-		if err != nil {
-			return nil, err
-		}
+	opts := core.Options{
+		TilesPerSide:     q.cfg.TilesPerSide,
+		Algorithm:        core.Approximation,
+		Metric:           q.cfg.Metric,
+		NoHistogramMatch: q.cfg.NoHistogramMatch,
+		Device:           q.cfg.Device,
+		Coloring:         q.coloring,
+		Trace:            tr,
 	}
-	sp.End()
-	if err := ctxErr(ctx); err != nil {
-		return nil, fmt.Errorf("video: frame cancelled before tiling: %w", err)
-	}
-
-	sp = trace.Start(tr, trace.SpanTiling)
-	m := q.input.W / q.cfg.TilesPerSide
-	inGrid, err := tile.NewGrid(work, m)
-	if err != nil {
-		return nil, err
-	}
-	tgtGrid, err := tile.NewGrid(target, m)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	if err := ctxErr(ctx); err != nil {
-		return nil, fmt.Errorf("video: frame cancelled before Step 2: %w", err)
-	}
-
-	sp = trace.Start(tr, trace.SpanCostMatrix)
-	var costs *metric.Matrix
 	if q.cfg.Device != nil {
-		costs, err = metric.BuildDevice(q.cfg.Device, inGrid, tgtGrid, q.cfg.Metric)
-	} else {
-		costs, err = metric.BuildSerial(inGrid, tgtGrid, q.cfg.Metric)
+		opts.Algorithm = core.ParallelApproximation
 	}
+	if !q.cfg.NoWarmStart {
+		opts.Start = q.prev
+	}
+	res, err := core.GenerateContext(ctx, q.input, target, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("video: frame: %w", err)
 	}
-	sp.End()
-	if err := ctxErr(ctx); err != nil {
-		return nil, fmt.Errorf("video: frame cancelled before Step 3: %w", err)
-	}
-
-	start := q.prev
-	if start == nil || q.cfg.NoWarmStart {
-		start = perm.Identity(q.s)
-	}
-	sp = trace.Start(tr, trace.SpanRearrange)
-	var p perm.Perm
-	var st localsearch.Stats
-	searchOpts := localsearch.Options{Trace: tr}
-	if q.cfg.Device != nil {
-		p, st, err = localsearch.ParallelContext(ctx, q.cfg.Device, costs, start, q.coloring, searchOpts)
-	} else {
-		p, st, err = localsearch.SerialContext(ctx, costs, start, searchOpts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	if err := ctxErr(ctx); err != nil {
-		return nil, fmt.Errorf("video: frame cancelled before assembly: %w", err)
-	}
-
-	sp = trace.Start(tr, trace.SpanAssemble)
-	mos, err := inGrid.Assemble(p)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	q.prev = p
+	q.prev = res.Assignment
 	q.frames++
 	return &FrameResult{
-		Mosaic:     mos,
-		Assignment: p,
-		TotalError: costs.Total(p),
-		Passes:     st.Passes,
+		Mosaic:     res.Mosaic,
+		Assignment: res.Assignment,
+		TotalError: res.TotalError,
+		Passes:     res.SearchStats.Passes,
 	}, nil
 }
 

@@ -135,33 +135,6 @@ const (
 	L2 = metric.L2
 )
 
-// Builder names a Step-2 cost-matrix construction strategy for
-// Options.Builder. All builders produce bit-identical matrices; they differ
-// only in loop order and parallelism. See the README's "Choosing a builder".
-type Builder = metric.Builder
-
-// The selectable builders.
-const (
-	// BuilderAuto (the zero value) picks BuilderDevice when Options.Device
-	// is set and BuilderBlocked otherwise.
-	BuilderAuto = metric.BuilderAuto
-	// BuilderSerial is the paper's single-core reference loop.
-	BuilderSerial = metric.BuilderSerial
-	// BuilderScalar is BuilderSerial with the byte-at-a-time scalar kernel —
-	// the pre-vectorization baseline kept for ablation.
-	BuilderScalar = metric.BuilderScalar
-	// BuilderBlocked is the cache-blocked single-core loop nest.
-	BuilderBlocked = metric.BuilderBlocked
-	// BuilderDevice is the paper's §V kernel decomposition on the virtual
-	// accelerator; requires Options.Device.
-	BuilderDevice = metric.BuilderDevice
-	// BuilderRows is plain row-parallelism on the device worker pool.
-	BuilderRows = metric.BuilderRows
-)
-
-// ParseBuilder resolves a builder name; "" and "auto" mean BuilderAuto.
-func ParseBuilder(name string) (Builder, error) { return metric.ParseBuilder(name) }
-
 // Device is a virtual accelerator standing in for the paper's GPU: a worker
 // pool executing CUDA-shaped kernels (see internal/cuda).
 type Device = cuda.Device
