@@ -370,7 +370,6 @@ type Service struct {
 	batchSize   *telemetry.Histogram
 	jobsTotal   func(outcome string) *telemetry.Counter
 	latency     *telemetry.Histogram
-	queueWait   *telemetry.Histogram
 	queueWaitNS *telemetry.Histogram
 	phaseNS     func(phase string) *telemetry.Histogram
 	assignNS    func(solver string) *telemetry.Histogram
@@ -449,8 +448,6 @@ func (s *Service) registerMetrics() {
 		"Jobs per coalesced Finish wave, leader included.", nil, telemetry.SizeBuckets)
 	s.latency = reg.Histogram("mosaic_service_job_latency_seconds",
 		"Job wall time from submit to finish, in seconds.", nil, nil)
-	s.queueWait = reg.Histogram("mosaic_service_queue_wait_seconds",
-		"Time jobs spent queued before a worker picked them up, in seconds.", nil, nil)
 	s.queueWaitNS = reg.Histogram("mosaic_service_queue_wait_ns",
 		"Time jobs spent queued before a worker picked them up, in nanoseconds (with request-ID exemplars).",
 		nil, telemetry.NanoBuckets)
@@ -780,7 +777,6 @@ func (s *Service) run(job *Job) {
 func (s *Service) beginJob(job *Job) {
 	job.queueSpan.End()
 	queueWait := time.Since(job.Created)
-	s.queueWait.Observe(queueWait.Seconds())
 	s.queueWaitNS.ObserveExemplar(float64(queueWait.Nanoseconds()),
 		telemetry.Labels{"request_id": job.RequestID})
 	job.setRunning()
