@@ -102,26 +102,38 @@ func TestVirtualClockZeroWithoutModel(t *testing.T) {
 }
 
 func TestVirtualTimeScalesWithSMs(t *testing.T) {
-	// The same workload on more virtual SMs must take no longer, and on a
-	// 1-SM device must be roughly the serial total.
-	work := func(dev *Device) {
-		dev.Launch(16, 8, func(b *Block) {
-			// Busy work long enough to dwarf timer noise (~hundreds of µs).
-			sink := 0
-			b.StrideLoop(3000, func(i int) {
-				for j := 0; j < 300; j++ {
-					sink += i * j
-				}
-			})
-			_ = sink
-		})
+	// One measured launch: the device times every block and charges the
+	// total to a 1-SM clock.
+	measured := New(1)
+	if err := measured.SetTimingModel(&TimingModel{SMs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	measured.Launch(16, 8, func(b *Block) {
+		sink := 0
+		b.StrideLoop(3000, func(i int) { sink += i })
+		_ = sink
+	})
+	if measured.VirtualTime() <= 0 {
+		t.Fatal("measured launch charged no virtual time")
+	}
+	// The scheduling property, checked on fixed block durations so the
+	// bounds are exact rather than at the mercy of timer noise: the same
+	// 16 blocks charged to 1, 4 and 16 virtual SMs must take no longer on
+	// more SMs, cost the serial total on one SM and the longest block once
+	// every block has its own SM.
+	durations := make([]time.Duration, 16)
+	var total, longest time.Duration
+	for i := range durations {
+		durations[i] = time.Duration(200+13*(i%5)) * time.Microsecond
+		total += durations[i]
+		longest = max(longest, durations[i])
 	}
 	timeWith := func(sms int) time.Duration {
 		dev := New(1)
 		if err := dev.SetTimingModel(&TimingModel{SMs: sms}); err != nil {
 			t.Fatal(err)
 		}
-		work(dev)
+		dev.chargeLaunch(durations, 8)
 		return dev.VirtualTime()
 	}
 	t1 := timeWith(1)
@@ -130,8 +142,10 @@ func TestVirtualTimeScalesWithSMs(t *testing.T) {
 	if t4 > t1 || t16 > t4 {
 		t.Errorf("virtual time not monotone in SMs: 1→%v 4→%v 16→%v", t1, t4, t16)
 	}
-	// 16 equal blocks on 4 SMs should land near t1/4 (loose 2× tolerance
-	// for timer noise).
+	if t1 != total || t16 != longest {
+		t.Errorf("1-SM time %v (want serial total %v), 16-SM time %v (want longest block %v)", t1, total, t16, longest)
+	}
+	// 16 near-equal blocks on 4 SMs land near t1/4.
 	if t4 > t1/2 {
 		t.Errorf("4-SM virtual time %v not meaningfully below serial %v", t4, t1)
 	}
