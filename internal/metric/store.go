@@ -119,10 +119,11 @@ func storeDeviceKernel(in, tgt *tilestore.Store, m Metric, out *Matrix) func(b *
 	return func(b *cuda.Block) {
 		u := b.Idx
 		// Stage the padded input block in shared memory (the paper's first
-		// kernel phase); the padded length keeps the copy word-aligned.
+		// kernel phase). One bulk copy: the block's threads run serialised
+		// on its worker, so a per-byte thread-stride copy would only add a
+		// call per byte to the measured block time.
 		sh := b.Shared(stride)
-		src := in.TilePadded(u)
-		b.StrideLoop(stride, func(i int) { sh[i] = src[i] })
+		copy(sh, in.TilePadded(u))
 		storeRow(sh, tgt, m, out.Row(u), 0, out.S)
 	}
 }
