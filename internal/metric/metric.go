@@ -17,7 +17,8 @@ import (
 	"repro/internal/perm"
 )
 
-// ErrMismatch reports grids whose geometry prevents comparing tiles.
+// ErrMismatch reports tile stores or grids whose geometry prevents comparing
+// tiles.
 var ErrMismatch = errors.New("metric: grid geometry mismatch")
 
 // Metric selects the per-pixel error accumulated by Eq. (1).
