@@ -185,9 +185,15 @@ func TestGenerateStatsSpans(t *testing.T) {
 	if got := res.Stats.Counter("search.improving-swaps"); got != res.SearchStats.Swaps {
 		t.Errorf("improving-swaps counter %d != SearchStats.Swaps %d", got, res.SearchStats.Swaps)
 	}
+	// Algorithm 2 tests every pair in its first sweep and afterwards only
+	// the pairs whose outcome is not already known.
 	s := int64(16 * 16)
-	if got, want := res.Stats.Counter("search.swap-attempts"), int64(res.SearchStats.Passes)*s*(s-1)/2; got != want {
-		t.Errorf("swap-attempts counter %d, want passes·S(S−1)/2 = %d", got, want)
+	got := res.Stats.Counter("search.swap-attempts")
+	if got != res.SearchStats.Attempts {
+		t.Errorf("swap-attempts counter %d != SearchStats.Attempts %d", got, res.SearchStats.Attempts)
+	}
+	if lo, hi := s*(s-1)/2, int64(res.SearchStats.Passes)*s*(s-1)/2; got < lo || got > hi {
+		t.Errorf("swap-attempts counter %d outside [S(S−1)/2, passes·S(S−1)/2] = [%d, %d]", got, lo, hi)
 	}
 	if res.Stats.Counter("cuda.kernel-launches") <= 0 {
 		t.Error("no kernel launches counted despite device execution")

@@ -46,9 +46,13 @@ var ErrBadStart = errors.New("localsearch: bad start assignment")
 
 // Stats describes one local-search run.
 type Stats struct {
-	Passes   int   // number of full sweeps (the paper's k)
-	Swaps    int64 // improving swaps applied
-	Attempts int64 // pair tests evaluated (exhaustive sweeps test S(S−1)/2 each)
+	Passes int   // number of full sweeps (the paper's k)
+	Swaps  int64 // improving swaps applied
+	// Attempts counts the pair tests actually run. Serial and
+	// SerialBestImprovement test all S(S−1)/2 pairs per sweep; SerialDirty
+	// and Parallel skip pairs whose outcome is already known, so a run of
+	// k sweeps tests at most k·S(S−1)/2.
+	Attempts int64
 	// Retries counts re-attempts of faulted color-class launches (resilient
 	// search only; zero on a healthy device).
 	Retries int64
@@ -247,9 +251,9 @@ func SerialBestImprovement(m *metric.Matrix, start perm.Perm, opts Options) (per
 }
 
 // pairsPerBlock is the number of color-class pairs each CUDA block handles
-// in the parallel sweep. The per-pair work is two matrix reads (the keep
-// side comes from the sweep's diagonal), so blocks batch pairs to amortise
-// scheduling.
+// in the parallel sweep. The per-pair work is at most two matrix reads (the
+// keep side comes from the sweep's diagonal), so blocks batch pairs to
+// amortise scheduling.
 const pairsPerBlock = 256
 
 // Parallel runs Algorithm 2 on the device: each sweep walks the color
@@ -257,7 +261,10 @@ const pairsPerBlock = 256
 // test-and-swap the class's pairs concurrently. Pairs within a class are
 // vertex-disjoint (guaranteed by the coloring), so the concurrent swaps
 // touch disjoint entries of the assignment and each applied swap strictly
-// improves the error just as in the serial algorithm.
+// improves the error just as in the serial algorithm. From the second sweep
+// on, a pair is tested only when one of its positions changed since the
+// pair's previous test one sweep earlier (classSweep in sweep.go): any other
+// test would fail again, so the result is that of testing every pair.
 //
 // coloring must be a verified coloring of K_S; pass nil to have one built
 // (the paper precomputes it once per S and reuses it across images — reuse
@@ -298,9 +305,10 @@ func ParallelContext(ctx context.Context, dev *cuda.Device, m *metric.Matrix, st
 // The degraded result is bit-identical to the healthy parallel run: a faulted
 // launch fails before executing any pair (the fault gate precedes the
 // kernel), pairs within a class are vertex-disjoint so their execution order
-// cannot matter, and the host sweep applies exactly the kernel's test-and-
-// swap to exactly the class's pairs. The retry unit is one class launch
-// because launches are Algorithm 2's global barriers — see DESIGN.md.
+// cannot matter, and the host sweep runs the kernel's blocks, the same
+// test-and-swap over the same pairs, one after another. The retry unit is
+// one class launch because launches are Algorithm 2's global barriers — see
+// DESIGN.md.
 func ParallelResilientContext(ctx context.Context, dev *cuda.Device, m *metric.Matrix, start perm.Perm, coloring *edgecolor.Coloring, opts Options, res Resilience) (perm.Perm, Stats, error) {
 	return parallelSearch(ctx, dev, m, start, coloring, opts, &res)
 }
@@ -318,12 +326,12 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 		return nil, Stats{}, fmt.Errorf("localsearch: coloring of K_%d for S = %d: %w", coloring.N, m.S, ErrBadStart)
 	}
 	var st Stats
-	s := m.S
 	// No column-major copy: a color class visits positions in no row order.
-	// Each pair's test writes only cur[x] and cur[y], and the pairs of a
-	// class are vertex-disjoint, so the kernel's threads never share a slot.
-	sw := newSweep(m, p, false)
-	var swapCount atomic.Int64
+	// Each pair's test writes only its own two positions' state, and the
+	// pairs of a class are vertex-disjoint, so the kernel's blocks never
+	// share a slot.
+	cs := newClassSweep(m, p)
+	var swapCount, attempts atomic.Int64
 	// Convergence sampling mirrors the serial search: one O(S) evaluation up
 	// front, then per-block swap deltas folded into an atomic accumulator
 	// (the concurrent swaps touch disjoint pairs, so the deltas are exact).
@@ -357,15 +365,21 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 		}
 		deviceDead = true
 	}
+	// stop fills in the counters accumulated so far for an early return.
+	stop := func() *Stats {
+		st.Swaps, st.Attempts = swapCount.Load(), attempts.Load()
+		return &st
+	}
+	classes := int64(len(coloring.Classes))
+	hostScratch := new(blockScratch)
 	for {
 		if err := ctxErr(ctx); err != nil {
-			st.Swaps = swapCount.Load()
 			if opts.Anytime {
-				return anytimeStop(m, p, &st)
+				return anytimeStop(m, p, stop())
 			}
-			return nil, st, fmt.Errorf("localsearch: parallel search cancelled after %d sweeps: %w", st.Passes, err)
+			return nil, *stop(), fmt.Errorf("localsearch: parallel search cancelled after %d sweeps: %w", st.Passes, err)
 		}
-		swapsBefore := swapCount.Load()
+		swapsBefore, attemptsBefore := swapCount.Load(), attempts.Load()
 		var swapped atomic.Bool
 		for ci, class := range coloring.Classes {
 			if ci > 0 {
@@ -373,11 +387,10 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 				// point between color classes: all prior launches completed,
 				// so the assignment is a consistent snapshot.
 				if err := ctxErr(ctx); err != nil {
-					st.Swaps = swapCount.Load()
 					if opts.Anytime {
-						return anytimeStop(m, p, &st)
+						return anytimeStop(m, p, stop())
 					}
-					return nil, st, fmt.Errorf("localsearch: parallel search cancelled in sweep %d: %w", st.Passes+1, err)
+					return nil, *stop(), fmt.Errorf("localsearch: parallel search cancelled in sweep %d: %w", st.Passes+1, err)
 				}
 			}
 			pairs := class
@@ -385,56 +398,38 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 			if grid == 0 {
 				continue
 			}
+			// The class runs at time now; its pairs were last tested one
+			// sweep earlier, at now − classes (≤ 0 in the first sweep).
+			now := int64(st.Passes)*classes + int64(ci) + 1
+			// runBlock is one block of the class: the kernel runs it on the
+			// device, hostClass on the host. Pairs within a class are
+			// vertex-disjoint, so the blocks' order cannot change the result
+			// and a degraded class is bit-identical to the kernel.
+			runBlock := func(bi int, sc *blockScratch) {
+				lo := bi * pairsPerBlock
+				hi := min(lo+pairsPerBlock, len(pairs))
+				tests, swaps, delta := cs.block(pairs[lo:hi], now-classes, now, sc)
+				attempts.Add(tests)
+				if swaps > 0 {
+					swapCount.Add(swaps)
+					swapped.Store(true)
+					if sample {
+						costDelta.Add(delta)
+					}
+				}
+			}
 			// One kernel launch per color class; the launch boundary is the
 			// global barrier between classes (paper §V).
 			kernel := func(b *cuda.Block) {
-				lo := b.Idx * pairsPerBlock
-				hi := lo + pairsPerBlock
-				if hi > len(pairs) {
-					hi = len(pairs)
-				}
-				local := int64(0)
-				localDelta := int64(0)
-				b.StrideLoop(hi-lo, func(i int) {
-					pr := pairs[lo+i]
-					if d, cx, cy := sw.delta(pr.U, pr.V); d < 0 {
-						sw.apply(pr.U, pr.V, cx, cy)
-						local++
-						localDelta += d
-					}
-				})
-				if local > 0 {
-					swapCount.Add(local)
-					swapped.Store(true)
-					if sample {
-						costDelta.Add(localDelta)
-					}
-				}
+				runBlock(b.Idx, (*blockScratch)(b.SharedInts(len(blockScratch{}))))
 			}
 			if res == nil {
 				dev.Launch(grid, pairsPerBlock, kernel)
 				continue
 			}
-			// hostClass is the degraded path: the kernel's test-and-swap over
-			// exactly this class's pairs, on the host. Pairs within a class
-			// are vertex-disjoint, so the sequential order cannot produce a
-			// different result than the concurrent kernel — bit-identical.
 			hostClass := func() {
-				local := int64(0)
-				localDelta := int64(0)
-				for _, pr := range pairs {
-					if d, cx, cy := sw.delta(pr.U, pr.V); d < 0 {
-						sw.apply(pr.U, pr.V, cx, cy)
-						local++
-						localDelta += d
-					}
-				}
-				if local > 0 {
-					swapCount.Add(local)
-					swapped.Store(true)
-					if sample {
-						costDelta.Add(localDelta)
-					}
+				for bi := 0; bi < grid; bi++ {
+					runBlock(bi, hostScratch)
 				}
 			}
 			if deviceDead {
@@ -462,17 +457,15 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 				continue
 			}
 			if errors.Is(lerr, context.Canceled) || errors.Is(lerr, context.DeadlineExceeded) {
-				st.Swaps = swapCount.Load()
 				if opts.Anytime {
 					// The faulted launch executed no pairs (the fault gate
 					// precedes the kernel), so p is a consistent snapshot.
-					return anytimeStop(m, p, &st)
+					return anytimeStop(m, p, stop())
 				}
-				return nil, st, fmt.Errorf("localsearch: parallel search cancelled in sweep %d: %w", st.Passes+1, lerr)
+				return nil, *stop(), fmt.Errorf("localsearch: parallel search cancelled in sweep %d: %w", st.Passes+1, lerr)
 			}
 			if res.DisableFallback {
-				st.Swaps = swapCount.Load()
-				return nil, st, fmt.Errorf("localsearch: class launch failed with host fallback disabled: %w", lerr)
+				return nil, *stop(), fmt.Errorf("localsearch: class launch failed with host fallback disabled: %w", lerr)
 			}
 			if errors.Is(lerr, cuda.ErrDeviceLost) {
 				deviceDead = true
@@ -481,9 +474,8 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 			st.Degraded++
 		}
 		st.Passes++
-		st.Attempts += int64(s) * int64(s-1) / 2
 		trace.Count(opts.Trace, trace.CounterSweepRounds, 1)
-		trace.Count(opts.Trace, trace.CounterSwapAttempts, int64(s)*int64(s-1)/2)
+		trace.Count(opts.Trace, trace.CounterSwapAttempts, attempts.Load()-attemptsBefore)
 		trace.Count(opts.Trace, trace.CounterImprovingSwaps, swapCount.Load()-swapsBefore)
 		if sample {
 			opts.Progress(st.Passes, cost0+costDelta.Load(), swapCount.Load())
@@ -492,8 +484,7 @@ func parallelSearch(ctx context.Context, dev *cuda.Device, m *metric.Matrix, sta
 			break
 		}
 	}
-	st.Swaps = swapCount.Load()
-	return p, st, nil
+	return p, *stop(), nil
 }
 
 // WithRestarts runs Algorithm 1 from the identity start plus `restarts`

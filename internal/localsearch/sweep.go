@@ -1,6 +1,7 @@
 package localsearch
 
 import (
+	"repro/internal/edgecolor"
 	"repro/internal/metric"
 	"repro/internal/perm"
 )
@@ -107,4 +108,75 @@ func (sw *sweep) row(x int) (swaps, delta int64) {
 		cur[x], cur[y] = a, b
 	}
 	return swaps, delta
+}
+
+// classSweep is Algorithm 2's state: a sweep over the row-major matrix plus
+// one change stamp per position. stamp[v] is the time at which p[v] last
+// changed, where class c of sweep k runs at time k·classes + c + 1 and the
+// start assignment is time 0.
+//
+// The stamps let a class skip pairs whose outcome is already known. A
+// coloring runs its classes in a fixed order, so a pair of class c was last
+// tested exactly one sweep earlier, at time prev = now − classes. The test
+// reads nothing but p[x] and p[y]. If both stamps are older than prev, the
+// pair did not swap then (a swap stamps both ends at prev) and neither end
+// has changed since, so the test would fail again. In the first sweep prev
+// ≤ 0 and every pair is tested.
+type classSweep struct {
+	*sweep
+	stamp []int64
+}
+
+func newClassSweep(m *metric.Matrix, p perm.Perm) *classSweep {
+	return &classSweep{sweep: newSweep(m, p, false), stamp: make([]int64, m.S)}
+}
+
+// blockScratch is the working set of one block of a color class: the
+// indices of its live pairs and their two gathered cross costs, each
+// pairsPerBlock long. The kernel carves it out of the block's shared memory.
+type blockScratch = [3 * pairsPerBlock]int32
+
+// block runs one block of a color class at time now: it tests the pairs
+// not known to fail and applies each improving swap, returning the number
+// of pairs tested and of swaps, and the swaps' summed error change. It is
+// the whole of Algorithm 2's test-and-swap, shared by the device kernel and
+// the host sweep, in three steps:
+//
+//  1. compact the indices of the live pairs (a stamp at or after prev)
+//     into a fixed array, without a branch per pair;
+//  2. gather both cross costs of every live pair, so the block's random
+//     matrix reads are independent of each other;
+//  3. test each live pair and apply its swap.
+//
+// Gathering before any swap is exact because the pairs of a class are
+// vertex-disjoint: no swap of the block changes another pair's p[x], p[y].
+// pairs holds at most pairsPerBlock pairs.
+func (cs *classSweep) block(pairs []edgecolor.Pair, prev, now int64, sc *blockScratch) (tests, swaps, delta int64) {
+	live := sc[:pairsPerBlock]
+	cx, cy := sc[pairsPerBlock:2*pairsPerBlock], sc[2*pairsPerBlock:]
+	stamp := cs.stamp
+	n := 0
+	for i, pr := range pairs {
+		live[n] = int32(i)
+		// Both stamps are older than prev exactly when both differences
+		// are negative: the sign bit of their AND.
+		n += int(^uint64((stamp[pr.U]-prev)&(stamp[pr.V]-prev)) >> 63)
+	}
+	p, w, cur, s := cs.p, cs.w, cs.cur, cs.s
+	for j, i := range live[:n] {
+		pr := pairs[i]
+		cx[j] = w[p[pr.V]*s+pr.U]
+		cy[j] = w[p[pr.U]*s+pr.V]
+	}
+	for j, i := range live[:n] {
+		x, y := pairs[i].U, pairs[i].V
+		if d := int64(cx[j]) + int64(cy[j]) - int64(cur[x]) - int64(cur[y]); d < 0 {
+			p[x], p[y] = p[y], p[x]
+			cur[x], cur[y] = cx[j], cy[j]
+			stamp[x], stamp[y] = now, now
+			swaps++
+			delta += d
+		}
+	}
+	return int64(n), swaps, delta
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cuda"
@@ -169,26 +170,58 @@ func oracleBestImprovement(m *metric.Matrix, start perm.Perm, maxPasses int) ora
 
 // oracleParallel sweeps the color classes in order, one pair after another:
 // the pairs of a class are vertex-disjoint, so this is Algorithm 2's result.
-func oracleParallel(m *metric.Matrix, start perm.Perm, coloring *edgecolor.Coloring) oracleRun {
+// It tests every pair, but counts a test as an attempt only when its outcome
+// is not known beforehand. A test reads nothing but the tiles p[U], p[V] at
+// the pair, so failed[U*S+V] records them, packed, at the pair's last test
+// if that test failed, and a swap at U or V forgets every record of a pair
+// through U or V. A test whose tiles match a record is known to fail. (A
+// record is not kept across a tile that leaves a position and comes back:
+// the search keeps O(S) state, which cannot see that.) maxPasses caps the
+// sweeps as Options.MaxPasses does. stopAfter > 0 stops the run after that
+// many classes, as an anytime cancellation polled before every class does.
+func oracleParallel(m *metric.Matrix, start perm.Perm, coloring *edgecolor.Coloring, maxPasses, stopAfter int) oracleRun {
 	s := m.S
 	r := oracleRun{p: start.Clone()}
-	cost := m.Total(r.p)
+	p := r.p
+	cost := m.Total(p)
+	failed := make([]int64, s*s)
+	classesRun := 0
 	for {
 		swapped := false
 		for _, class := range coloring.Classes {
+			if classesRun == stopAfter && stopAfter > 0 {
+				r.st.Partial, r.st.Cost = true, cost
+				return r
+			}
+			classesRun++
 			for _, pr := range class {
-				if keep, swap := fourRead(m, r.p, pr.U, pr.V); keep > swap {
-					r.p[pr.U], r.p[pr.V] = r.p[pr.V], r.p[pr.U]
-					swapped = true
-					r.st.Swaps++
-					cost += swap - keep
+				at := pr.U*s + pr.V
+				tiles := int64(p[pr.U])*int64(s) + int64(p[pr.V]) + 1
+				known := failed[at] == tiles
+				if !known {
+					r.st.Attempts++
+				}
+				keep, swap := fourRead(m, p, pr.U, pr.V)
+				if keep <= swap {
+					failed[at] = tiles
+					continue
+				}
+				if known {
+					panic(fmt.Sprintf("oracleParallel: pair (%d, %d) swapped on tiles that failed before", pr.U, pr.V))
+				}
+				p[pr.U], p[pr.V] = p[pr.V], p[pr.U]
+				swapped = true
+				r.st.Swaps++
+				cost += swap - keep
+				for w := 0; w < s; w++ {
+					failed[pr.U*s+w], failed[w*s+pr.U] = 0, 0
+					failed[pr.V*s+w], failed[w*s+pr.V] = 0, 0
 				}
 			}
 		}
 		r.st.Passes++
-		r.st.Attempts += int64(s) * int64(s-1) / 2
 		r.samples = append(r.samples, sample{round: r.st.Passes, cost: cost, swaps: r.st.Swaps})
-		if !swapped {
+		if !swapped || (maxPasses > 0 && r.st.Passes >= maxPasses) {
 			return r
 		}
 	}
@@ -252,7 +285,7 @@ func (rec *recorder) anneal(epoch int, cost int64, temperature float64) {
 }
 
 // requireSame fails unless a search's result equals the oracle's in the
-// assignment, Passes, Swaps, Attempts and Progress samples.
+// assignment, Passes, Swaps, Attempts, Partial, Cost and Progress samples.
 func requireSame(t *testing.T, name string, p perm.Perm, st Stats, err error, samples []sample, want oracleRun) {
 	t.Helper()
 	if err != nil {
@@ -264,6 +297,9 @@ func requireSame(t *testing.T, name string, p perm.Perm, st Stats, err error, sa
 	if st.Passes != want.st.Passes || st.Swaps != want.st.Swaps || st.Attempts != want.st.Attempts {
 		t.Fatalf("%s: passes/swaps/attempts %d/%d/%d, oracle %d/%d/%d", name,
 			st.Passes, st.Swaps, st.Attempts, want.st.Passes, want.st.Swaps, want.st.Attempts)
+	}
+	if st.Partial != want.st.Partial || st.Cost != want.st.Cost {
+		t.Fatalf("%s: partial/cost %v/%d, oracle %v/%d", name, st.Partial, st.Cost, want.st.Partial, want.st.Cost)
 	}
 	if len(samples) != len(want.samples) {
 		t.Fatalf("%s: %d progress samples, oracle %d", name, len(samples), len(want.samples))
@@ -302,6 +338,15 @@ func TestSweepMatchesFourReadOracle(t *testing.T) {
 	for _, in := range inputs {
 		m, s := in.m, in.m.S
 		coloring := edgecolor.Complete(s)
+		// The same classes in a shuffled order: the skip must hold for any
+		// verified coloring, not just the circle method's order.
+		shuffled := &edgecolor.Coloring{N: s, Classes: slices.Clone(coloring.Classes)}
+		rand.New(rand.NewSource(int64(s))).Shuffle(len(shuffled.Classes), func(i, j int) {
+			shuffled.Classes[i], shuffled.Classes[j] = shuffled.Classes[j], shuffled.Classes[i]
+		})
+		if err := shuffled.Verify(); err != nil {
+			t.Fatalf("%s: shuffled coloring: %v", in.name, err)
+		}
 		// Best improvement makes one swap per S(S−1)/2 tests; cap its
 		// passes on the large inputs.
 		bestCap := 0
@@ -328,7 +373,7 @@ func TestSweepMatchesFourReadOracle(t *testing.T) {
 				p, st, err = SerialBestImprovement(m, start.p, Options{MaxPasses: bestCap})
 				requireSame(t, "SerialBestImprovement", p, st, err, nil, oracleBestImprovement(m, start.p, bestCap))
 
-				par := oracleParallel(m, start.p, coloring)
+				par := oracleParallel(m, start.p, coloring, 0, 0)
 				rec = recorder{}
 				p, st, err = Parallel(cuda.New(2), m, start.p, coloring, Options{Progress: rec.sweep})
 				requireSame(t, "Parallel", p, st, err, rec.samples, par)
@@ -346,6 +391,24 @@ func TestSweepMatchesFourReadOracle(t *testing.T) {
 				requireSame(t, "ParallelResilientContext(faults)", p, st, err, rec.samples, par)
 				if s > 3 && st.Degraded == 0 {
 					t.Fatal("fault plan degraded no class to the host")
+				}
+
+				rec = recorder{}
+				p, st, err = Parallel(cuda.New(2), m, start.p, shuffled, Options{Progress: rec.sweep})
+				requireSame(t, "Parallel(shuffled classes)", p, st, err, rec.samples, oracleParallel(m, start.p, shuffled, 0, 0))
+
+				rec = recorder{}
+				p, st, err = Parallel(cuda.New(2), m, start.p, coloring, Options{Progress: rec.sweep, MaxPasses: 2})
+				requireSame(t, "Parallel(MaxPasses=2)", p, st, err, rec.samples, oracleParallel(m, start.p, coloring, 2, 0))
+
+				// The search polls ctx once before every class, so the fuse
+				// stops it halfway through its second sweep.
+				fuse := len(coloring.Classes) * 3 / 2
+				rec = recorder{}
+				p, st, err = ParallelContext(newCountdownCtx(fuse), cuda.New(2), m, start.p, coloring, Options{Progress: rec.sweep, Anytime: true})
+				requireSame(t, "ParallelContext(anytime mid-sweep)", p, st, err, rec.samples, oracleParallel(m, start.p, coloring, 0, fuse))
+				if s >= 64 && !st.Partial {
+					t.Fatal("the fuse did not stop the parallel search mid-sweep")
 				}
 
 				rec = recorder{}
