@@ -65,7 +65,7 @@ func (p *Prepared) TileSide() int { return p.m }
 func (p *Prepared) MemoryBytes() int64 {
 	n := int64(len(p.input.Pix)) + int64(len(p.tgtGrid.Img.Pix))
 	n += p.inStore.MemoryBytes() + p.tgtStore.MemoryBytes()
-	n += int64(len(p.costs.W)) * 8
+	n += int64(len(p.costs.W)) * 4 // metric.Cost is an int32
 	if p.oriented != nil {
 		n += int64(len(p.oriented.Orient))
 	}

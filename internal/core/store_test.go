@@ -42,6 +42,28 @@ func TestPreparedExposesStores(t *testing.T) {
 	}
 }
 
+// TestPreparedMemoryBytesIsSumOfParts pins the cache weight to the bytes
+// the artifacts hold: both pixel buffers, both stores, four bytes per int32
+// matrix entry and, with orientations scored, one per orientation entry.
+func TestPreparedMemoryBytesIsSumOfParts(t *testing.T) {
+	input := synth.MustGenerate(synth.Lena, 128)
+	target := synth.MustGenerate(synth.Sailboat, 128)
+	for _, oriented := range []bool{false, true} {
+		prep, err := PrepareContext(context.Background(), input, target, Options{TilesPerSide: 16, AllowOrientations: oriented})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const s = 16 * 16
+		want := int64(2*128*128) + prep.InputStore().MemoryBytes() + prep.TargetStore().MemoryBytes() + 4*s*s
+		if oriented {
+			want += s * s
+		}
+		if got := prep.MemoryBytes(); got != want {
+			t.Errorf("oriented=%v: MemoryBytes %d, want %d", oriented, got, want)
+		}
+	}
+}
+
 // TestStoreCandidatesOption: the thumbnail-derived warm start drives
 // ApproximationDirty to a valid mosaic whose reported error matches the
 // matrix, both through GenerateContext and a Prepared reused via
