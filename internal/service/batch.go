@@ -130,6 +130,8 @@ func (s *Service) runBatched(job *Job, prep *core.Prepared, l *lease, size int) 
 		res, err = s.encode(job, fin, true)
 	}
 	s.reportDevice(job, l)
-	s.settleJob(job, res, err)
+	// Counted before settling: a caller woken by the settle must already
+	// see the job in the counter.
 	s.batchedJobs.Inc()
+	s.settleJob(job, res, err)
 }
